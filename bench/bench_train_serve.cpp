@@ -6,15 +6,14 @@
 // format: flat objects, one per line).
 //
 // `--load` runs the artifact load study instead (BENCH_load.json): for
-// indexed models at n=2000 and n=10000 it times Predictor::LoadFromFile
-// over the v3 heap path, the v4 heap path (IDA_MMAP=off) and the v4
-// zero-copy mapped path (IDA_MMAP=on). Each (size, mode) probe runs in a
-// forked child so cold-load wall time, the VmRSS delta across the load,
-// and the process peak RSS (VmHWM) are clean per mode — heap arenas and
-// page-cache residency never leak from one mode into the next. The first
-// prediction of every mode is cross-checked; a divergence fails the
-// bench. A final verdict line reports the mapped-vs-v3 speedup at the
-// largest size against the 10x acceptance target.
+// indexed models at n=2000 and n=10000 it times Predictor::LoadFromFile,
+// which serves the artifact zero-copy off a file mapping (mode "v4_mmap",
+// after the file that defines the layout). Each probe runs in a forked
+// child so cold-load wall time, the VmRSS delta across the load, and the
+// process peak RSS (VmHWM) are clean — heap arenas from training never
+// leak into the measurement. The loaded model's first prediction is
+// cross-checked against the in-memory model; a divergence fails the
+// bench.
 #include <malloc.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -113,9 +112,8 @@ void Run() {
 
 constexpr size_t kLoadSizes[] = {2000, 10000};
 constexpr size_t kLoadTrials = 5;
-constexpr double kLoadTargetSpeedup = 10.0;
 
-/// One (artifact, mode) measurement, filled in by a forked child.
+/// One artifact load measurement, filled in by a forked child.
 struct LoadProbe {
   double cold_ms = 0.0;   // first load in a fresh process
   double best_ms = 0.0;   // min over kLoadTrials loads
@@ -142,16 +140,9 @@ long ProcStatusKb(const char* key) {
   return kb;
 }
 
-/// The child-side body: loads `path` under the given IDA_MMAP setting
-/// (nullptr = unset), measures the cold load and RSS, answers `query`
-/// once, then re-loads for the min-of-trials figure.
-LoadProbe ProbeLoad(const std::string& path, const char* mmap_env,
-                    const NContext& query) {
-  if (mmap_env != nullptr) {
-    setenv("IDA_MMAP", mmap_env, 1);
-  } else {
-    unsetenv("IDA_MMAP");
-  }
+/// The child-side body: loads `path`, measures the cold load and RSS,
+/// answers `query` once, then re-loads for the min-of-trials figure.
+LoadProbe ProbeLoad(const std::string& path, const NContext& query) {
   // Return freed arena pages inherited from the parent to the OS so the
   // load's allocations genuinely grow VmRSS instead of landing in
   // already-resident copy-on-write pages, and reset the inherited VmHWM
@@ -185,8 +176,7 @@ LoadProbe ProbeLoad(const std::string& path, const char* mmap_env,
 
 /// Forks, runs ProbeLoad in the child, and reads the result back over a
 /// pipe. Exits the bench if the child fails.
-LoadProbe ProbeLoadInChild(const std::string& path, const char* mmap_env,
-                           const NContext& query) {
+LoadProbe ProbeLoadInChild(const std::string& path, const NContext& query) {
   int fds[2];
   if (pipe(fds) != 0) std::exit(1);
   std::fflush(stdout);
@@ -194,7 +184,7 @@ LoadProbe ProbeLoadInChild(const std::string& path, const char* mmap_env,
   if (pid < 0) std::exit(1);
   if (pid == 0) {
     close(fds[0]);
-    LoadProbe probe = ProbeLoad(path, mmap_env, query);
+    LoadProbe probe = ProbeLoad(path, query);
     const ssize_t n = write(fds[1], &probe, sizeof probe);
     _exit(n == static_cast<ssize_t>(sizeof probe) ? 0 : 1);
   }
@@ -258,57 +248,39 @@ void EmitLoadLine(const char* mode, size_t n, size_t artifact_bytes,
 }
 
 void RunLoad() {
-  double last_speedup = 0.0;
-  size_t last_n = 0;
   for (size_t n : kLoadSizes) {
-    const std::string v3_path = "/tmp/ida_bench_load_v3.idamodel";
-    const std::string v4_path = "/tmp/ida_bench_load_v4.idamodel";
-    size_t v3_size = 0;
-    size_t v4_size = 0;
+    const std::string path = "/tmp/ida_bench_load.idamodel";
+    size_t size = 0;
     NContext query;
+    Prediction expected;
     {
-      // Scoped so the probe children don't inherit the trained model's
+      // Scoped so the probe child doesn't inherit the trained model's
       // footprint (the query's displays stay alive via shared_ptr).
       const engine::TrainedModel model = BuildLoadModel(n);
       query = model.samples()[7 % model.size()].context;
-      v3_size = model.Serialize(3).size();
-      v4_size = model.Serialize(4).size();
-      if (!model.SaveToFile(v3_path, 3).ok()) std::exit(1);
-      if (!model.SaveToFile(v4_path, 4).ok()) std::exit(1);
+      auto in_memory = engine::Predictor::Load(model);
+      if (!in_memory.ok()) std::exit(1);
+      expected = in_memory->Predict(query);
+      size = model.Serialize().size();
+      if (!model.SaveToFile(path).ok()) std::exit(1);
     }
 
-    const LoadProbe v3_heap = ProbeLoadInChild(v3_path, nullptr, query);
-    const LoadProbe v4_heap = ProbeLoadInChild(v4_path, "off", query);
-    const LoadProbe v4_mmap = ProbeLoadInChild(v4_path, "on", query);
-    EmitLoadLine("v3_heap", n, v3_size, v3_heap);
-    EmitLoadLine("v4_heap", n, v4_size, v4_heap);
-    EmitLoadLine("v4_mmap", n, v4_size, v4_mmap);
+    const LoadProbe mapped = ProbeLoadInChild(path, query);
+    EmitLoadLine("v4_mmap", n, size, mapped);
 
-    // All three paths must answer the probe query identically.
-    if (v4_heap.label != v3_heap.label || v4_mmap.label != v3_heap.label ||
+    // The loaded model must answer the probe query as the in-memory one.
+    if (mapped.label != expected.label ||
         // Exact float comparison is deliberate here: bitwise-identical
-        // serving across the load paths is the contract under test.
-        v4_heap.confidence != v3_heap.confidence ||  // ida-lint: allow(float-eq)
-        v4_mmap.confidence != v3_heap.confidence) {  // ida-lint: allow(float-eq)
+        // serving after save/load is the contract under test.
+        mapped.confidence != expected.confidence) {  // ida-lint: allow(float-eq)
       std::printf(
-          "{\"bench\":\"load\",\"n\":%zu,\"error\":\"load paths "
-          "disagree on the probe prediction\"}\n",
+          "{\"bench\":\"load\",\"n\":%zu,\"error\":\"loaded model "
+          "disagrees with the in-memory model on the probe prediction\"}\n",
           n);
       std::exit(1);
     }
-
-    last_n = n;
-    last_speedup = v4_mmap.best_ms > 0.0 ? v3_heap.best_ms / v4_mmap.best_ms
-                                         : 0.0;
-    std::remove(v3_path.c_str());
-    std::remove(v4_path.c_str());
+    std::remove(path.c_str());
   }
-  std::printf(
-      "{\"bench\":\"load\",\"config\":\"verdict\",\"n\":%zu,"
-      "\"mmap_speedup_vs_v3_heap\":%.1f,\"target_speedup\":%.1f,"
-      "\"meets_target\":%s}\n",
-      last_n, last_speedup, kLoadTargetSpeedup,
-      last_speedup >= kLoadTargetSpeedup ? "true" : "false");
 }
 
 }  // namespace

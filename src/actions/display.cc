@@ -224,16 +224,6 @@ std::shared_ptr<const Display> Display::MakeRoot(
                                    std::move(profile), n);
 }
 
-std::shared_ptr<const Display> Display::MakeDetached(DisplayKind kind,
-                                                     InterestProfile profile,
-                                                     size_t num_rows,
-                                                     size_t dataset_size) {
-  auto d = std::make_shared<Display>(kind, nullptr, std::move(profile),
-                                     dataset_size);
-  d->num_rows_ = num_rows;
-  return d;
-}
-
 std::string Display::Describe() const {
   std::ostringstream os;
   os << DisplayKindName(kind_) << " display: " << num_rows() << " rows";

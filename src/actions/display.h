@@ -28,7 +28,7 @@ const char* DisplayKindName(DisplayKind k);
 class Display;
 
 /// Fixed-width reference to a string inside a flat character heap — the
-/// label encoding of the memory-mapped artifact v4 display pool
+/// label encoding of the memory-mapped model artifact's display pool
 /// (engine/artifact_v4.h). Plain old data; valid wherever the heap is.
 struct LabelRef {
   uint32_t offset = 0;
@@ -40,7 +40,7 @@ struct LabelRef {
 /// profile column, labels, values and row count — never the backing
 /// table). A view is backed either by a heap Display (`Display::View()`,
 /// labels are std::string objects) or by the flat arrays of a memory-
-/// mapped artifact v4 section (labels are LabelRef slices of a shared
+/// mapped artifact section (labels are LabelRef slices of a shared
 /// character heap) — the serving hot path reads both identically, which is
 /// what lets a mapped artifact serve queries without materializing any
 /// Display object.
@@ -112,23 +112,12 @@ struct InterestProfile {
 /// and heap serving paths normalize bitwise identically.
 std::vector<double> NormalizedProbabilities(const double* values, size_t n);
 
-/// An immutable result screen. Created by ActionExecutor (or as the root),
-/// or reconstructed table-less from a model artifact (MakeDetached).
+/// An immutable result screen. Created by ActionExecutor (or as the root).
 class Display {
  public:
   /// Builds the root display of a dataset.
   static std::shared_ptr<const Display> MakeRoot(
       std::shared_ptr<const DataTable> table);
-
-  /// Builds a detached display: profile + row count without the backing
-  /// table. Everything the ground metrics, fingerprints and measures
-  /// consume is present, so detached displays are interchangeable with
-  /// full ones for distance computation and prediction (used by loaded
-  /// model artifacts, engine/model.h). table() is null.
-  static std::shared_ptr<const Display> MakeDetached(DisplayKind kind,
-                                                     InterestProfile profile,
-                                                     size_t num_rows,
-                                                     size_t dataset_size);
 
   Display(DisplayKind kind, std::shared_ptr<const DataTable> table,
           InterestProfile profile, size_t dataset_size)
@@ -139,8 +128,8 @@ class Display {
 
   DisplayKind kind() const { return kind_; }
   const std::shared_ptr<const DataTable>& table() const { return table_; }
-  /// Rows visible on screen (stored explicitly for detached displays).
-  size_t num_rows() const { return table_ ? table_->num_rows() : num_rows_; }
+  /// Rows visible on screen (0 for a table-less display).
+  size_t num_rows() const { return table_ ? table_->num_rows() : 0; }
   const InterestProfile& profile() const { return profile_; }
   /// O — the size (row count) of the original, root dataset.
   size_t dataset_size() const { return dataset_size_; }
@@ -170,8 +159,6 @@ class Display {
   std::shared_ptr<const DataTable> table_;
   InterestProfile profile_;
   size_t dataset_size_;
-  /// Row count of a detached (table-less) display; unused when table_ set.
-  size_t num_rows_ = 0;
 };
 
 using DisplayPtr = std::shared_ptr<const Display>;

@@ -1,6 +1,6 @@
 // Read-only memory mapping of an artifact file with a heap fallback.
 //
-// The zero-copy serving path (DESIGN.md §16) validates an artifact v4's
+// The zero-copy serving path (DESIGN.md §16) validates a model artifact's
 // section directory against the mapping and then serves flat sections in
 // place: load cost becomes O(validated bytes) instead of O(parse
 // everything), and the page cache shares the bytes across processes.

@@ -76,9 +76,9 @@ struct PhfView {
   }
 };
 
-/// Owning PHF (fit-time build; heap deserialization). The artifact writer
-/// serializes the three arrays verbatim and the mapped reader wraps them
-/// back into a PhfView without copying.
+/// Owning PHF (fit-time build, or adopted from an artifact). The artifact
+/// writer serializes the three arrays verbatim and the mapped reader
+/// wraps them back into a PhfView without copying.
 class PerfectHash {
  public:
   /// Builds a minimal perfect hash over `keys` with `values[i]` as the
@@ -88,7 +88,7 @@ class PerfectHash {
   static std::optional<PerfectHash> Build(const std::vector<uint64_t>& keys,
                                           const std::vector<uint32_t>& values);
 
-  /// Re-owns previously built tables (the PHF sections of an artifact v4,
+  /// Re-owns previously built tables (the PHF sections of a model artifact,
   /// copied off the mapping — they are small). Only shape is validated
   /// (non-empty, keys/values parallel); corrupted table *contents* are
   /// safe by construction — Lookup verifies the stored key, so the worst

@@ -171,7 +171,7 @@ struct FlatContext {
   struct Node {
     /// Zero-copy view of the node's display content (actions/display.h):
     /// heap-backed for prepared NContexts, mapping-backed for contexts
-    /// served in place from an artifact v4. The distance layer reads only
+    /// served in place from a model artifact. The distance layer reads only
     /// the view, so both backings are interchangeable bitwise.
     DisplayView display;
     /// Dense id of this display in the model's interned pool, or -1 when

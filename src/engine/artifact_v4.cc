@@ -5,6 +5,9 @@
 // trivially-copyable record type at an offset the section directory has
 // already proven 8-aligned and in bounds (tools/ida_lint "byte-cast").
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <string_view>
@@ -13,7 +16,6 @@
 #include <vector>
 
 #include "common/binio.h"
-#include "engine/artifact_codec.h"
 
 namespace ida::engine::v4 {
 
@@ -29,7 +31,7 @@ constexpr size_t kFixedHeader = sizeof(kArtifactMagic) + 2 * sizeof(uint32_t);
 uint64_t PadTo8(uint64_t n) { return (n + 7) & ~static_cast<uint64_t>(7); }
 
 Status Corrupt(const std::string& what) {
-  return Status::InvalidArgument("model artifact v4: " + what);
+  return Status::InvalidArgument("model artifact: " + what);
 }
 
 std::string TagName(uint32_t tag) {
@@ -76,7 +78,7 @@ std::string AssembleSections(std::vector<SectionBuf> sections) {
   out.reserve(cursor);
   out.append(kArtifactMagic, sizeof(kArtifactMagic));
   Writer head;
-  head.U32(4);  // format version
+  head.U32(kArtifactVersion);
   head.U32(static_cast<uint32_t>(count));
   for (const SectionEntry& e : entries) {
     head.U32(e.tag);
@@ -91,6 +93,166 @@ std::string AssembleSections(std::vector<SectionBuf> sections) {
   out += dir_ck.Take();
   for (SectionBuf& s : sections) out += s.bytes;
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Field codecs of the two parsed sections (CFG and ACTS).
+
+void WriteConfig(const ModelConfig& c, Writer* w) {
+  w->I32(c.n_context_size);
+  w->F64(c.theta_interest);
+  w->I32(c.knn.k);
+  w->F64(c.knn.distance_threshold);
+  w->U8(c.knn.distance_weighted ? 1 : 0);
+  w->U8(c.use_index ? 1 : 0);
+  w->U8(c.approx.enabled ? 1 : 0);
+  w->F64(c.approx.epsilon);
+  w->F64(c.approx.recall_target);
+  w->U8(c.load.eager_checksums ? 1 : 0);
+  w->U8(static_cast<uint8_t>(c.method));
+  w->F64(c.distance.indel_cost);
+  w->F64(c.distance.display_weight);
+  w->I32(c.distance.num_threads);
+  w->U8(c.training.successful_only ? 1 : 0);
+  w->U8(c.training.merge_identical ? 1 : 0);
+  w->U64(c.reference.max_reference_actions);
+  w->U64(c.reference.min_effective_reference);
+  w->U8(c.reference.same_dataset_only ? 1 : 0);
+  w->U64(c.reference.sampling_seed);
+  w->U32(static_cast<uint32_t>(c.measures.size()));
+  for (const std::string& m : c.measures) w->Str(m);
+}
+
+Status ReadConfig(Reader* r, ModelConfig* c) {
+  c->n_context_size = r->I32();
+  c->theta_interest = r->F64();
+  c->knn.k = r->I32();
+  c->knn.distance_threshold = r->F64();
+  c->knn.distance_weighted = r->U8() != 0;
+  c->use_index = r->U8() != 0;
+  c->approx.enabled = r->U8() != 0;
+  c->approx.epsilon = r->F64();
+  c->approx.recall_target = r->F64();
+  c->load.eager_checksums = r->U8() != 0;
+  uint8_t method = r->U8();
+  c->distance.indel_cost = r->F64();
+  c->distance.display_weight = r->F64();
+  c->distance.num_threads = r->I32();
+  c->training.successful_only = r->U8() != 0;
+  c->training.merge_identical = r->U8() != 0;
+  c->reference.max_reference_actions = r->U64();
+  c->reference.min_effective_reference = r->U64();
+  c->reference.same_dataset_only = r->U8() != 0;
+  c->reference.sampling_seed = r->U64();
+  uint32_t num_measures = r->Count(4);
+  c->measures.clear();
+  for (uint32_t i = 0; i < num_measures && r->status().ok(); ++i) {
+    c->measures.push_back(r->Str());
+  }
+  IDA_RETURN_NOT_OK(r->status());
+  if (method > static_cast<uint8_t>(ComparisonMethod::kNormalized)) {
+    return Corrupt("unknown comparison method " + std::to_string(method));
+  }
+  c->method = static_cast<ComparisonMethod>(method);
+  return Status::OK();
+}
+
+void WriteValue(const Value& v, Writer* w) {
+  w->U8(static_cast<uint8_t>(v.type()));
+  switch (v.type()) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kInt:
+      w->U64(static_cast<uint64_t>(v.as_int()));
+      break;
+    case ValueType::kDouble:
+      w->F64(v.as_double());
+      break;
+    case ValueType::kString:
+      w->Str(v.as_string());
+      break;
+  }
+}
+
+Result<Value> ReadValue(Reader* r) {
+  uint8_t type = r->U8();
+  switch (type) {
+    case static_cast<uint8_t>(ValueType::kNull):
+      return Value::Null();
+    case static_cast<uint8_t>(ValueType::kInt):
+      return Value(static_cast<int64_t>(r->U64()));
+    case static_cast<uint8_t>(ValueType::kDouble):
+      return Value(r->F64());
+    case static_cast<uint8_t>(ValueType::kString):
+      return Value(r->Str());
+    default:
+      return Corrupt("unknown value type " + std::to_string(type));
+  }
+}
+
+void WriteAction(const Action& a, Writer* w) {
+  w->U8(static_cast<uint8_t>(a.type()));
+  switch (a.type()) {
+    case ActionType::kFilter:
+      w->U32(static_cast<uint32_t>(a.predicates().size()));
+      for (const Predicate& p : a.predicates()) {
+        w->Str(p.column);
+        w->U8(static_cast<uint8_t>(p.op));
+        WriteValue(p.operand, w);
+      }
+      break;
+    case ActionType::kGroupBy:
+      w->Str(a.group_column());
+      w->U8(static_cast<uint8_t>(a.agg_func()));
+      w->Str(a.agg_column());
+      break;
+    case ActionType::kBack:
+      break;
+  }
+}
+
+Result<Action> ReadAction(Reader* r) {
+  uint8_t type = r->U8();
+  IDA_RETURN_NOT_OK(r->status());
+  switch (type) {
+    case static_cast<uint8_t>(ActionType::kFilter): {
+      uint32_t num_predicates = r->Count(6);
+      std::vector<Predicate> predicates;
+      predicates.reserve(num_predicates);
+      for (uint32_t i = 0; i < num_predicates && r->status().ok(); ++i) {
+        Predicate p;
+        p.column = r->Str();
+        uint8_t op = r->U8();
+        if (op > static_cast<uint8_t>(CompareOp::kContains)) {
+          return Corrupt("unknown compare op " + std::to_string(op));
+        }
+        p.op = static_cast<CompareOp>(op);
+        IDA_ASSIGN_OR_RETURN(p.operand, ReadValue(r));
+        predicates.push_back(std::move(p));
+      }
+      IDA_RETURN_NOT_OK(r->status());
+      if (predicates.empty()) {
+        return Corrupt("FILTER action without predicates");
+      }
+      return Action::Filter(std::move(predicates));
+    }
+    case static_cast<uint8_t>(ActionType::kGroupBy): {
+      std::string group_column = r->Str();
+      uint8_t func = r->U8();
+      std::string agg_column = r->Str();
+      IDA_RETURN_NOT_OK(r->status());
+      if (func > static_cast<uint8_t>(AggFunc::kCountDistinct)) {
+        return Corrupt("unknown aggregate function " + std::to_string(func));
+      }
+      return Action::GroupBy(std::move(group_column),
+                             static_cast<AggFunc>(func),
+                             std::move(agg_column));
+    }
+    case static_cast<uint8_t>(ActionType::kBack):
+      return Action::Back();
+    default:
+      return Corrupt("unknown action type " + std::to_string(type));
+  }
 }
 
 // A validated section directory over an artifact's bytes.
@@ -131,9 +293,11 @@ Result<Directory> ParseDirectory(const uint8_t* data, size_t size) {
   }
   uint32_t version = 0;
   std::memcpy(&version, data + sizeof(kArtifactMagic), sizeof(version));
-  if (version != 4) {
-    return Corrupt("not a version-4 artifact (version " +
-                   std::to_string(version) + ")");
+  if (version != kArtifactVersion) {
+    return Status::InvalidArgument(
+        "unsupported model artifact format version " +
+        std::to_string(version) + " (this build reads version " +
+        std::to_string(kArtifactVersion) + " only; re-save the model)");
   }
   uint32_t count = 0;
   std::memcpy(&count, data + kFixedHeader - sizeof(uint32_t), sizeof(count));
@@ -215,7 +379,7 @@ Result<CfgInfo> ParseCfg(const Directory& dir) {
   IDA_RETURN_NOT_OK(dir.VerifyChecksum(e));
   Reader r(reinterpret_cast<const char*>(dir.data(e)), e.length);
   CfgInfo info;
-  IDA_RETURN_NOT_OK(internal::ReadConfig(&r, 4, &info.config));
+  IDA_RETURN_NOT_OK(ReadConfig(&r, &info.config));
   info.num_samples = r.U32();
   info.num_displays = r.U32();
   info.num_actions = r.U32();
@@ -246,9 +410,9 @@ Result<CfgInfo> ParseCfg(const Directory& dir) {
 // The exact tag sequence the writer emits for this CFG shape.
 Status CheckTags(const Directory& dir, const CfgInfo& info) {
   std::vector<uint32_t> want = {
-      kTagConfig, kTagActions,  kTagHeap,    kTagStrHeap,
-      kTagDblHeap, kTagLabelRefs, kTagDisplays, kTagNodes,
-      kTagContexts, kTagKeyroots, kTagSamples, kTagLabelHeap};
+      kTagConfig,   kTagActions,  kTagStrHeap, kTagDblHeap,
+      kTagLabelRefs, kTagDisplays, kTagNodes,  kTagContexts,
+      kTagKeyroots, kTagSamples,  kTagLabelHeap};
   if (info.has_index) {
     want.push_back(kTagTreeNodes);
     want.push_back(kTagTreeEntries);
@@ -335,7 +499,7 @@ Result<std::vector<Action>> ParseActions(const Directory& dir,
   std::vector<Action> actions;
   actions.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    IDA_ASSIGN_OR_RETURN(Action a, internal::ReadAction(&r));
+    IDA_ASSIGN_OR_RETURN(Action a, ReadAction(&r));
     actions.push_back(std::move(a));
   }
   IDA_RETURN_NOT_OK(r.status());
@@ -343,40 +507,86 @@ Result<std::vector<Action>> ParseActions(const Directory& dir,
   return actions;
 }
 
+// A context's postorder leftmost-leaf array, keyroots and cascade
+// summaries must be exactly what SessionDistance::Prepare produces for one
+// tree: the Zhang-Shasha DP indexes its forest table by leftmost -
+// leftmost(keyroot) and reads subtree distances earlier keyroots
+// computed, and the cascade bounds subtract summary counts, so anything
+// else is a memory-safety (or overflow) question, not just a wrong
+// distance. One pass over a stack of the finished subtrees ({start,
+// root}; together they tile the positions seen so far): node j's
+// children are exactly the stacked subtrees starting at or after
+// leftmost(j), which must tile [leftmost(j), j); every child but the
+// first, and the tree's root, is a keyroot. `stack` is caller scratch,
+// reused across contexts so validation allocates nothing per context.
+Status CheckContext(const FlatContext& fc, const ContextRecord& cr,
+                    uint32_t context,
+                    std::vector<std::pair<int32_t, int32_t>>* stack) {
+  const auto bad = [context](const std::string& what) {
+    return Corrupt("context " + std::to_string(context) + " " + what);
+  };
+  const auto is_keyroot = [&fc](int32_t j) {
+    return std::binary_search(fc.keyroots.begin(), fc.keyroots.end(), j);
+  };
+  stack->clear();
+  size_t keyroots = 0;
+  int32_t leaves = 0;
+  std::array<int32_t, 3> kinds{};
+  std::array<int32_t, 4> actions{};
+  for (size_t pos = 0; pos < fc.post.size(); ++pos) {
+    const FlatContext::Node& n = fc.post[pos];
+    const int32_t j = static_cast<int32_t>(pos);
+    const int32_t l = n.leftmost;
+    int32_t first_start = j;
+    int32_t child = -1;  // the last popped child; the first child at the end
+    while (!stack->empty() && stack->back().first >= l) {
+      if (child >= 0) {
+        if (!is_keyroot(child)) return bad("has invalid keyroots");
+        ++keyroots;
+      }
+      first_start = stack->back().first;
+      child = stack->back().second;
+      stack->pop_back();
+    }
+    if (first_start != l) return bad("has an invalid leftmost leaf");
+    stack->emplace_back(l, j);
+    if (l == j) ++leaves;
+    ++kinds[static_cast<size_t>(n.display.kind)];
+    ++actions[n.incoming->has_value()
+                  ? 1 + static_cast<size_t>((*n.incoming)->type())
+                  : 0];
+  }
+  if (stack->size() > 1) return bad("is not a single tree");
+  if (!stack->empty()) {
+    if (!is_keyroot(stack->back().second)) return bad("has invalid keyroots");
+    ++keyroots;
+  }
+  if (keyroots != fc.keyroots.size()) return bad("has invalid keyroots");
+  if (leaves != cr.num_leaves ||
+      !std::equal(kinds.begin(), kinds.end(), cr.kind_hist) ||
+      !std::equal(actions.begin(), actions.end(), cr.action_hist)) {
+    return bad("has inconsistent cascade summaries");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string Serialize(const TrainedModel& model) {
-  const std::vector<TrainingSample>& samples = model.samples();
+  // The exact set the in-memory classifier serves: same pools, same ids,
+  // same prepared contexts and perfect hash.
+  const FlatTrainingSet flat =
+      BuildFlatTrainingSet(model.samples(), model.index());
 
-  // Heap-compatibility stream first: encoding the samples fills the
-  // display/action pools, whose order every flat section then reuses, so
-  // the heap payload and the flat sections agree on all pool ids.
-  internal::InternPools pools;
-  Writer samples_w;
-  samples_w.U32(static_cast<uint32_t>(samples.size()));
-  for (const TrainingSample& s : samples) {
-    samples_w.I32(s.label);
-    samples_w.U32(static_cast<uint32_t>(s.labels.size()));
-    for (int l : s.labels) samples_w.I32(l);
-    samples_w.F64(s.max_relative);
-    samples_w.I32(s.tree_index);
-    samples_w.I32(s.step);
-    internal::WriteContext(s.context, &pools, &samples_w);
+  // Action pool (slot 0 is the roots' empty optional, not written).
+  Writer acts_w;
+  acts_w.U32(static_cast<uint32_t>(flat.actions.size() - 1));
+  for (size_t i = 1; i < flat.actions.size(); ++i) {
+    WriteAction(*flat.actions[i], &acts_w);
   }
 
-  Writer acts_w;
-  acts_w.U32(static_cast<uint32_t>(pools.actions.size()));
-  std::string acts_bytes = acts_w.Take();
-  for (const std::string& a : pools.actions) acts_bytes += a;
-
-  Writer heap_w;
-  heap_w.U32(static_cast<uint32_t>(pools.displays.size()));
-  for (const Display* d : pools.displays) internal::WriteDisplay(*d, &heap_w);
-  std::string heap_bytes = heap_w.Take();
-  heap_bytes += samples_w.Take();
-
   // Flat display pool: labels and column names interned into one char
-  // heap (deduplicated first-seen, so re-serialization is deterministic),
+  // heap (deduplicated first-seen, so serialization is deterministic),
   // profile values into one double heap, label references into one
   // LabelRef array.
   std::string str_heap;
@@ -391,12 +601,8 @@ std::string Serialize(const TrainedModel& model) {
   std::vector<double> dbl_heap;
   std::vector<LabelRef> label_refs;
   std::vector<DisplayRecord> disp_recs;
-  std::vector<DisplayView> pool_views;
-  disp_recs.reserve(pools.displays.size());
-  pool_views.reserve(pools.displays.size());
-  for (const Display* d : pools.displays) {
-    const DisplayView v = d->View();
-    pool_views.push_back(v);
+  disp_recs.reserve(flat.pool_views.size());
+  for (const DisplayView& v : flat.pool_views) {
     DisplayRecord rec;
     rec.kind = static_cast<uint32_t>(v.kind);
     rec.num_labels = v.num_labels;
@@ -415,15 +621,13 @@ std::string Serialize(const TrainedModel& model) {
     disp_recs.push_back(rec);
   }
 
-  // Flat contexts: exactly the classifier's prepare pass, frozen at fit
-  // time (log_rows, leftmost, keyroots and the cascade summaries are the
-  // bitwise values heap loading would recompute).
+  // Flat contexts, frozen verbatim (log_rows, leftmost, keyroots and the
+  // cascade summaries are the bitwise values the classifier serves).
   std::vector<NodeRecord> node_recs;
   std::vector<ContextRecord> ctx_recs;
   std::vector<int32_t> keyroot_heap;
-  ctx_recs.reserve(samples.size());
-  for (const TrainingSample& s : samples) {
-    const FlatContext fc = SessionDistance::Prepare(s.context);
+  ctx_recs.reserve(flat.contexts.size());
+  for (const FlatContext& fc : flat.contexts) {
     ContextRecord cr;
     cr.node_begin = static_cast<uint32_t>(node_recs.size());
     cr.node_count = static_cast<uint32_t>(fc.post.size());
@@ -435,11 +639,8 @@ std::string Serialize(const TrainedModel& model) {
     ctx_recs.push_back(cr);
     for (const FlatContext::Node& n : fc.post) {
       NodeRecord nr;
-      nr.display_id = static_cast<int32_t>(
-          pools.display_index.at(n.display.identity));
-      nr.action_id = n.incoming->has_value()
-                         ? static_cast<int32_t>(pools.Intern(**n.incoming))
-                         : -1;
+      nr.display_id = n.display_id;
+      nr.action_id = static_cast<int32_t>(n.incoming - flat.actions.data()) - 1;
       nr.leftmost = n.leftmost;
       nr.log_rows = n.log_rows;
       node_recs.push_back(nr);
@@ -449,8 +650,8 @@ std::string Serialize(const TrainedModel& model) {
 
   std::vector<SampleRecord> sample_recs;
   std::vector<int32_t> label_heap;
-  sample_recs.reserve(samples.size());
-  for (const TrainingSample& s : samples) {
+  sample_recs.reserve(flat.meta.size());
+  for (const TrainingSample& s : flat.meta) {
     SampleRecord sr;
     sr.label = s.label;
     sr.tree_index = s.tree_index;
@@ -462,36 +663,16 @@ std::string Serialize(const TrainedModel& model) {
     sample_recs.push_back(sr);
   }
 
-  const index::VpTree* tree = model.index().get();
+  const index::VpTree* tree = flat.index.get();
   const bool has_index = tree != nullptr && !tree->empty();
-
-  // The display perfect hash, built exactly as the serving classifier
-  // builds its own (content fingerprints in pool order, first id per
-  // distinct fingerprint as the representative), so a mapped load adopts
-  // bitwise the tables a heap load would construct.
-  std::optional<PerfectHash> phf;
-  if (!pool_views.empty()) {
-    std::unordered_map<uint64_t, uint32_t> rep;
-    std::vector<uint64_t> keys;
-    std::vector<uint32_t> values;
-    keys.reserve(pool_views.size());
-    values.reserve(pool_views.size());
-    for (size_t id = 0; id < pool_views.size(); ++id) {
-      const uint64_t fp = ContentFingerprint(pool_views[id]);
-      if (rep.try_emplace(fp, static_cast<uint32_t>(id)).second) {
-        keys.push_back(fp);
-        values.push_back(static_cast<uint32_t>(id));
-      }
-    }
-    phf = PerfectHash::Build(keys, values);
-  }
+  const std::optional<PerfectHash>& phf = flat.phf;
   const bool has_phf = phf.has_value();
 
   Writer cfg_w;
-  internal::WriteConfig(model.config(), 4, &cfg_w);
-  cfg_w.U32(static_cast<uint32_t>(samples.size()));
-  cfg_w.U32(static_cast<uint32_t>(pools.displays.size()));
-  cfg_w.U32(static_cast<uint32_t>(pools.actions.size()));
+  WriteConfig(model.config(), &cfg_w);
+  cfg_w.U32(static_cast<uint32_t>(flat.meta.size()));
+  cfg_w.U32(static_cast<uint32_t>(flat.pool_views.size()));
+  cfg_w.U32(static_cast<uint32_t>(flat.actions.size() - 1));
   cfg_w.U64(node_recs.size());
   cfg_w.U64(keyroot_heap.size());
   cfg_w.U64(label_heap.size());
@@ -512,8 +693,7 @@ std::string Serialize(const TrainedModel& model) {
 
   std::vector<SectionBuf> sections;
   sections.push_back({kTagConfig, cfg_w.Take()});
-  sections.push_back({kTagActions, std::move(acts_bytes)});
-  sections.push_back({kTagHeap, std::move(heap_bytes)});
+  sections.push_back({kTagActions, acts_w.Take()});
   sections.push_back({kTagStrHeap, std::move(str_heap)});
   sections.push_back(
       {kTagDblHeap, PodBytes(dbl_heap.data(), dbl_heap.size())});
@@ -550,89 +730,6 @@ std::string Serialize(const TrainedModel& model) {
          PodBytes(phf->slot_values().data(), phf->slot_values().size())});
   }
   return AssembleSections(std::move(sections));
-}
-
-Result<TrainedModel> Deserialize(const char* data, size_t size) {
-  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(data);
-  IDA_ASSIGN_OR_RETURN(Directory dir, ParseDirectory(bytes, size));
-  // The heap path always verifies every section — it is the integrity
-  // gate the mapped path's lazy mode defers to operators.
-  for (const SectionEntry& e : dir.entries) {
-    IDA_RETURN_NOT_OK(dir.VerifyChecksum(e));
-  }
-  IDA_ASSIGN_OR_RETURN(CfgInfo info, ParseCfg(dir));
-  IDA_RETURN_NOT_OK(CheckTags(dir, info));
-  IDA_RETURN_NOT_OK(CheckLengths(dir, info));
-
-  IDA_ASSIGN_OR_RETURN(std::vector<Action> actions, ParseActions(dir, info));
-
-  const SectionEntry* heap = dir.Find(kTagHeap);
-  Reader r(reinterpret_cast<const char*>(dir.data(*heap)), heap->length);
-  const uint32_t num_displays = r.Count(25);  // fixed display fields
-  if (r.status().ok() && num_displays != info.num_displays) {
-    return Corrupt("HEAP display count does not match the config");
-  }
-  std::vector<DisplayPtr> displays;
-  displays.reserve(num_displays);
-  for (uint32_t i = 0; i < num_displays && r.status().ok(); ++i) {
-    IDA_ASSIGN_OR_RETURN(DisplayPtr d, internal::ReadDisplay(&r));
-    displays.push_back(std::move(d));
-  }
-  const uint32_t num_samples = r.Count(29);  // fixed sample fields
-  if (r.status().ok() && num_samples != info.num_samples) {
-    return Corrupt("HEAP sample count does not match the config");
-  }
-  std::vector<TrainingSample> samples;
-  samples.reserve(num_samples);
-  for (uint32_t i = 0; i < num_samples && r.status().ok(); ++i) {
-    TrainingSample s;
-    s.label = r.I32();
-    const uint32_t num_labels = r.Count(4);
-    s.labels.reserve(num_labels);
-    for (uint32_t l = 0; l < num_labels; ++l) s.labels.push_back(r.I32());
-    s.max_relative = r.F64();
-    s.tree_index = r.I32();
-    s.step = r.I32();
-    IDA_ASSIGN_OR_RETURN(s.context,
-                         internal::ReadContext(&r, displays, actions));
-    samples.push_back(std::move(s));
-  }
-  IDA_RETURN_NOT_OK(r.status());
-  if (r.remaining() != 0) return Corrupt("trailing HEAP section bytes");
-
-  // The index is reconstructed from the flat sections themselves (the v4
-  // layout stores the tree exactly once); FromFlat preserves the arrays
-  // verbatim, so re-serialization reproduces the sections bitwise.
-  std::shared_ptr<const index::VpTree> tree;
-  if (info.has_index) {
-    const SectionEntry* tn = dir.Find(kTagTreeNodes);
-    const SectionEntry* te = dir.Find(kTagTreeEntries);
-    std::vector<index::FlatNode> nodes(info.num_tree_nodes);
-    if (!nodes.empty()) {
-      std::memcpy(nodes.data(), dir.data(*tn), tn->length);
-    }
-    std::vector<index::VpEntry> entries(info.num_tree_entries);
-    if (!entries.empty()) {
-      std::memcpy(entries.data(), dir.data(*te), te->length);
-    }
-    IDA_ASSIGN_OR_RETURN(
-        index::VpTree t,
-        index::VpTree::FromFlat(std::move(nodes), std::move(entries),
-                                samples.size(), info.leaf_size));
-    tree = std::make_shared<const index::VpTree>(std::move(t));
-  }
-  return TrainedModel(std::move(info.config), std::move(samples),
-                      std::move(tree));
-}
-
-bool IsV4(const uint8_t* data, size_t size) {
-  if (size < kFixedHeader) return false;
-  if (std::memcmp(data, kArtifactMagic, sizeof(kArtifactMagic)) != 0) {
-    return false;
-  }
-  uint32_t version = 0;
-  std::memcpy(&version, data + sizeof(kArtifactMagic), sizeof(version));
-  return version == 4;
 }
 
 Result<ModelConfig> PeekConfig(const MappedArtifact& art) {
@@ -693,6 +790,12 @@ Result<FlatTrainingSet> LoadServing(
       return Corrupt("display " + std::to_string(id) + " has unknown kind " +
                      std::to_string(rec.kind));
     }
+    // The ground metric pairs label j with value j.
+    if (rec.num_labels != rec.num_values) {
+      return Corrupt("display " + std::to_string(id) + " has " +
+                     std::to_string(rec.num_labels) + " labels for " +
+                     std::to_string(rec.num_values) + " values");
+    }
     if (rec.labels_begin > info.num_label_refs ||
         rec.num_labels > info.num_label_refs - rec.labels_begin ||
         rec.values_begin > info.num_dbl ||
@@ -725,6 +828,7 @@ Result<FlatTrainingSet> LoadServing(
   const int32_t* keyroots =
       reinterpret_cast<const int32_t*>(dir.data(*dir.Find(kTagKeyroots)));
   out.contexts.reserve(info.num_samples);
+  std::vector<std::pair<int32_t, int32_t>> subtree_stack;
   uint64_t node_cursor = 0;
   uint64_t keyroot_cursor = 0;
   for (uint32_t i = 0; i < info.num_samples; ++i) {
@@ -760,6 +864,10 @@ Result<FlatTrainingSet> LoadServing(
       if (nr.leftmost < 0 || static_cast<uint32_t>(nr.leftmost) > j) {
         return Corrupt("context node leftmost index out of range");
       }
+      // A non-finite size term would reach the candidate sort as NaN.
+      if (!std::isfinite(nr.log_rows) || nr.log_rows < 0.0) {
+        return Corrupt("context node log_rows is not a finite size term");
+      }
       FlatContext::Node n;
       n.display = out.pool_views[static_cast<uint32_t>(nr.display_id)];
       n.display_id = nr.display_id;
@@ -779,6 +887,7 @@ Result<FlatTrainingSet> LoadServing(
       fc.keyroots.push_back(k);
       prev = k;
     }
+    IDA_RETURN_NOT_OK(CheckContext(fc, cr, i, &subtree_stack));
     fc.num_leaves = cr.num_leaves;
     for (size_t h = 0; h < 3; ++h) fc.kind_hist[h] = cr.kind_hist[h];
     for (size_t h = 0; h < 4; ++h) fc.action_hist[h] = cr.action_hist[h];

@@ -1,7 +1,9 @@
-// Artifact format version 4 (DESIGN.md §16): a flat, little-endian,
-// zero-copy model layout that a read-only file mapping serves in place.
+// The model artifact format (DESIGN.md §16, format version 5; the file
+// and namespace keep the name of the version that introduced the layout):
+// a flat, little-endian, zero-copy layout that a read-only file mapping
+// serves in place.
 //
-//   "IDAMODEL" | u32 version=4 | u32 section_count
+//   "IDAMODEL" | u32 version=5 | u32 section_count
 //   | section_count x SectionEntry {tag, reserved, offset, length, checksum}
 //   | u64 directory checksum (FNV-1a over everything above)
 //   | sections, each at an 8-byte-aligned absolute offset, zero-padded
@@ -14,20 +16,18 @@
 // directory checksum or a section checksum. Every structure the serving
 // path touches (interned display pool, flattened training contexts,
 // labels, VP-tree node/entry arrays, perfect-hash display memo) is a
-// flat, position-independent, index-based section: the mapped loader
-// validates the directory and structure, then wraps the bytes without
-// parsing them. A versions-1..3-compatible heap payload (ACTS + HEAP
-// sections, byte-compatible with the v3 payload encoding) rides along so
-// TrainedModel::Deserialize reconstructs the full heap model losslessly
-// and Serialize(4) round-trips bitwise.
+// flat, position-independent, index-based section: the loader validates
+// the directory and structure, then wraps the bytes without parsing them.
+// The writer serializes exactly the FlatTrainingSet the in-memory
+// classifier serves (BuildFlatTrainingSet), so a loaded model reproduces
+// the in-memory predictions bitwise.
 //
-// Integrity policy: the heap reader (Deserialize below) ALWAYS verifies
-// every section checksum. The mapped loader verifies the directory and
-// CFG checksums always, and the remaining sections per
-// ModelConfig::load.eager_checksums; structural validation (every index
+// Integrity policy: the loader verifies the directory and CFG checksums
+// always, and the remaining sections per ModelConfig::load.eager_checksums
+// (hot reload forces eager); structural validation (every index
 // bounds-checked, slices tiled, the tree and PHF shape-checked) runs
-// unconditionally on both paths, so a corrupt lazily-mapped artifact can
-// degrade predictions but never memory safety.
+// unconditionally, so a corrupt lazily-mapped artifact can degrade
+// predictions but never memory safety.
 #pragma once
 
 #include <cstddef>
@@ -57,7 +57,6 @@ constexpr uint32_t Tag(char a, char b, char c, char d) {
 /// built at write time.
 inline constexpr uint32_t kTagConfig = Tag('C', 'F', 'G', ' ');
 inline constexpr uint32_t kTagActions = Tag('A', 'C', 'T', 'S');
-inline constexpr uint32_t kTagHeap = Tag('H', 'E', 'A', 'P');
 inline constexpr uint32_t kTagStrHeap = Tag('D', 'S', 'T', 'R');
 inline constexpr uint32_t kTagDblHeap = Tag('D', 'D', 'B', 'L');
 inline constexpr uint32_t kTagLabelRefs = Tag('D', 'L', 'B', 'L');
@@ -103,7 +102,7 @@ struct DisplayRecord {
 /// One flattened context node of the NODE section (postorder within its
 /// context). `action_id` indexes the ACTS pool, -1 = no incoming action
 /// (context root); `log_rows` is the fit-time precomputed log2(rows + 1)
-/// bits, stored verbatim so mapped serving is bitwise the heap path.
+/// bits, stored verbatim so mapped serving is bitwise the in-memory model.
 struct NodeRecord {
   int32_t display_id = 0;  ///< index into the DISP pool
   int32_t action_id = -1;
@@ -148,26 +147,17 @@ static_assert(std::is_trivially_copyable_v<NodeRecord>);
 static_assert(std::is_trivially_copyable_v<ContextRecord>);
 static_assert(std::is_trivially_copyable_v<SampleRecord>);
 
-/// Serializes `model` into v4 artifact bytes (TrainedModel::Serialize(4)
+/// Serializes `model` into artifact bytes (TrainedModel::Serialize
 /// delegates here). Deterministic: the same model always produces the
-/// same bytes, and Serialize(Deserialize(bytes)) == bytes.
+/// same bytes.
 std::string Serialize(const TrainedModel& model);
-
-/// Heap deserialization of a v4 artifact: validates the directory,
-/// verifies EVERY section checksum, then reconstructs the full heap model
-/// from the ACTS/HEAP compatibility sections and the flat tree arrays.
-Result<TrainedModel> Deserialize(const char* data, size_t size);
-
-/// True when `data` begins with the artifact magic and a version-4 header
-/// (cheap sniff; no validation beyond the first 12 bytes).
-bool IsV4(const uint8_t* data, size_t size);
 
 /// Validates the section directory and the CFG section's checksum, then
 /// parses and returns the model's configuration (which carries the
-/// loading policy the caller dispatches on).
+/// checksum policy LoadServing applies).
 Result<ModelConfig> PeekConfig(const MappedArtifact& art);
 
-/// Zero-copy serving load: validates the directory (and, per
+/// The loader: validates the directory (and, per
 /// `config.load.eager_checksums`, every section checksum), runs the full
 /// structural validation of the flat sections, and assembles the
 /// classifier's construction input with every view borrowing `art`'s

@@ -20,17 +20,11 @@
 
 namespace ida {
 
-/// Artifact loading policy (DESIGN.md §16), serialized into version-4
-/// artifacts so a model carries its own serving-path preference. Only
-/// consulted by Predictor::LoadFromFile on a v4 artifact; the heap
-/// deserializer (TrainedModel::Deserialize) always verifies every section
-/// checksum regardless of these knobs.
+/// Artifact loading policy (DESIGN.md §16), serialized into the artifact
+/// so a model carries its own integrity policy. Consulted by
+/// Predictor::LoadFromFile; SessionManager::ReloadFromFile always loads
+/// eagerly.
 struct LoadOptions {
-  /// Serve v4 artifacts directly off a read-only file mapping (flat
-  /// sections used in place, no parse of the heap payload). Overridable
-  /// at load time with IDA_MMAP=on/off. Predictions are bitwise
-  /// identical on either path.
-  bool prefer_mmap = true;
   /// Verify every section checksum at map time (eager) instead of only
   /// the directory and config sections (lazy, the default). Lazy mapping
   /// still runs the full structural validation — a corrupt artifact can
@@ -73,7 +67,7 @@ struct ModelConfig {
   TrainingSetOptions training;
   /// Reference-Based labeler knobs (unused by the Normalized method).
   ReferenceBasedLabelerOptions reference;
-  /// Artifact loading policy (v4 artifacts only; see LoadOptions).
+  /// Artifact loading policy (see LoadOptions).
   LoadOptions load;
 };
 

@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 #include "distance/ted.h"
@@ -284,39 +282,18 @@ Result<Predictor> Predictor::LoadFromFile(const std::string& path,
     return Status(s.code(), path + ": " + s.message());
   };
   IDA_ASSIGN_OR_RETURN(MappedArtifact mapped, MappedArtifact::Open(path));
-  if (v4::IsV4(mapped.data(), mapped.size())) {
-    Result<ModelConfig> config = v4::PeekConfig(mapped);
-    if (!config.ok()) return wrap(config.status());
-    bool use_mmap = config->load.prefer_mmap;
-    if (const char* env = std::getenv("IDA_MMAP"); env != nullptr) {
-      use_mmap =
-          std::string_view(env) != "off" && std::string_view(env) != "0";
-    }
-    if (use_mmap) {
-      auto art = std::make_shared<const MappedArtifact>(std::move(mapped));
-      Result<Predictor> served =
-          LoadMapped(std::move(art), std::move(*config), obs);
-      if (!served.ok()) return wrap(served.status());
-      if (obs.metrics_on()) {
-        obs.reg().GetCounter("ida.engine.model.loads")->Increment();
-        obs.reg().GetCounter("ida.engine.model.load_samples")
-            ->Add(served->train_size());
-      }
-      return served;
-    }
-  }
-  // Heap path: versions 1..3, and v4 artifacts with mapped serving
-  // deselected (string's iterator constructor — this file never casts
-  // artifact bytes).
-  std::string bytes(mapped.data(), mapped.data() + mapped.size());
-  Result<TrainedModel> model = TrainedModel::Deserialize(bytes);
-  if (!model.ok()) return wrap(model.status());
+  Result<ModelConfig> config = v4::PeekConfig(mapped);
+  if (!config.ok()) return wrap(config.status());
+  Result<Predictor> served =
+      LoadMapped(std::make_shared<const MappedArtifact>(std::move(mapped)),
+                 std::move(*config), obs);
+  if (!served.ok()) return wrap(served.status());
   if (obs.metrics_on()) {
     obs.reg().GetCounter("ida.engine.model.loads")->Increment();
     obs.reg().GetCounter("ida.engine.model.load_samples")
-        ->Add(model->size());
+        ->Add(served->train_size());
   }
-  return Load(std::move(*model), obs);
+  return served;
 }
 
 void Predictor::RecordPredict(const Prediction& p, const PredictStats& stats,

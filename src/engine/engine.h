@@ -109,23 +109,19 @@ class Predictor {
  public:
   /// Builds a serving handle from a trained model (in-memory or loaded).
   static Result<Predictor> Load(TrainedModel model, obs::ObsConfig obs = {});
-  /// Loads the artifact at `path` and builds a serving handle. Records
-  /// `ida.engine.model.loads` / `load_seconds` when metrics are on.
-  /// Version-4 artifacts are served zero-copy off a read-only file mapping
-  /// (LoadMapped below) when the artifact's `load.prefer_mmap` knob — or
-  /// the `IDA_MMAP` environment override ("off"/"0" forces the heap path,
-  /// any other value forces the mapped path) — selects it; versions 1..3,
-  /// and v4 with the mapped path deselected, deserialize onto the heap.
-  /// Both paths produce bitwise-identical predictions.
+  /// Loads the artifact at `path` and builds a serving handle: opens it
+  /// (MappedArtifact), reads its config (v4::PeekConfig) and serves it
+  /// zero-copy (LoadMapped). Records `ida.engine.model.loads` /
+  /// `load_seconds` when metrics are on. Predictions are bitwise those of
+  /// the in-memory model the artifact was saved from.
   static Result<Predictor> LoadFromFile(const std::string& path,
                                         obs::ObsConfig obs = {});
-  /// Zero-copy load of a version-4 artifact mapping (DESIGN.md §16):
-  /// validates the section directory and flat structures, then serves
-  /// queries directly off `art`'s bytes, keeping the mapping alive for the
-  /// predictor's lifetime (and that of every copy). `config` must be the
-  /// artifact's own configuration (v4::PeekConfig) — it carries the
-  /// eager-vs-lazy checksum policy. Bitwise-identical predictions to the
-  /// heap path over the same artifact.
+  /// Zero-copy load of an artifact (DESIGN.md §16): validates the section
+  /// directory and flat structures, then serves queries directly off
+  /// `art`'s bytes, keeping them alive for the predictor's lifetime (and
+  /// that of every copy). `config` must be the artifact's own
+  /// configuration (v4::PeekConfig) — it carries the eager-vs-lazy
+  /// checksum policy.
   static Result<Predictor> LoadMapped(std::shared_ptr<const MappedArtifact> art,
                                       ModelConfig config,
                                       obs::ObsConfig obs = {});

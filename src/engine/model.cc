@@ -1,521 +1,48 @@
 #include "engine/model.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <unordered_map>
+#include <fcntl.h>
+#include <unistd.h>
 
-#include "common/binio.h"
-#include "engine/artifact_codec.h"
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
+
 #include "engine/artifact_v4.h"
 
 namespace ida::engine {
 
-using binio::Fnv1a;
-using binio::Reader;
-using binio::Writer;
+std::string TrainedModel::Serialize() const { return v4::Serialize(*this); }
 
-// ---------------------------------------------------------------------------
-// Section encoders (shared with the v4 writer via engine/artifact_codec.h)
-
-namespace internal {
-
-void WriteConfig(const ModelConfig& c, uint32_t version, Writer* w) {
-  w->I32(c.n_context_size);
-  w->F64(c.theta_interest);
-  w->I32(c.knn.k);
-  w->F64(c.knn.distance_threshold);
-  w->U8(c.knn.distance_weighted ? 1 : 0);
-  if (version >= 2) w->U8(c.use_index ? 1 : 0);
-  if (version >= 3) {
-    w->U8(c.approx.enabled ? 1 : 0);
-    w->F64(c.approx.epsilon);
-    w->F64(c.approx.recall_target);
+Status TrainedModel::SaveToFile(const std::string& path) const {
+  const std::string bytes = Serialize();
+  // A sibling name unique to this process and call, so concurrent savers
+  // never share a temporary; rename() within one directory is atomic.
+  static std::atomic<uint64_t> counter{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(counter.fetch_add(1));
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                        0666);
+  if (fd < 0) {
+    return Status::IoError("cannot open " + tmp + " for writing");
   }
-  if (version >= 4) {
-    w->U8(c.load.prefer_mmap ? 1 : 0);
-    w->U8(c.load.eager_checksums ? 1 : 0);
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    done += static_cast<size_t>(n);
   }
-  w->U8(static_cast<uint8_t>(c.method));
-  w->F64(c.distance.indel_cost);
-  w->F64(c.distance.display_weight);
-  w->I32(c.distance.num_threads);
-  w->U8(c.training.successful_only ? 1 : 0);
-  w->U8(c.training.merge_identical ? 1 : 0);
-  w->U64(c.reference.max_reference_actions);
-  w->U64(c.reference.min_effective_reference);
-  w->U8(c.reference.same_dataset_only ? 1 : 0);
-  w->U64(c.reference.sampling_seed);
-  w->U32(static_cast<uint32_t>(c.measures.size()));
-  for (const std::string& m : c.measures) w->Str(m);
-}
-
-Status ReadConfig(Reader* r, uint32_t version, ModelConfig* c) {
-  c->n_context_size = r->I32();
-  c->theta_interest = r->F64();
-  c->knn.k = r->I32();
-  c->knn.distance_threshold = r->F64();
-  c->knn.distance_weighted = r->U8() != 0;
-  // Version-1 artifacts predate the serving index; they keep the default
-  // (enabled) but carry no index blob, so serving falls back to brute
-  // force either way.
-  c->use_index = version >= 2 ? r->U8() != 0 : true;
-  // Pre-version-3 artifacts predate approximate serving; they load with
-  // the knob at its default (off), i.e. exact serving.
-  if (version >= 3) {
-    c->approx.enabled = r->U8() != 0;
-    c->approx.epsilon = r->F64();
-    c->approx.recall_target = r->F64();
-  } else {
-    c->approx = ApproxOptions{};
+  const bool synced = done == bytes.size() && ::fsync(fd) == 0;
+  const bool closed = ::close(fd) == 0;
+  if (!synced || !closed) {
+    std::remove(tmp.c_str());
+    return Status::IoError("short write to " + tmp);
   }
-  // Pre-version-4 artifacts predate the loading-policy knobs; they load
-  // with the defaults (and have no flat sections to map anyway).
-  if (version >= 4) {
-    c->load.prefer_mmap = r->U8() != 0;
-    c->load.eager_checksums = r->U8() != 0;
-  } else {
-    c->load = LoadOptions{};
-  }
-  uint8_t method = r->U8();
-  c->distance.indel_cost = r->F64();
-  c->distance.display_weight = r->F64();
-  c->distance.num_threads = r->I32();
-  c->training.successful_only = r->U8() != 0;
-  c->training.merge_identical = r->U8() != 0;
-  c->reference.max_reference_actions = r->U64();
-  c->reference.min_effective_reference = r->U64();
-  c->reference.same_dataset_only = r->U8() != 0;
-  c->reference.sampling_seed = r->U64();
-  uint32_t num_measures = r->Count(4);
-  c->measures.clear();
-  for (uint32_t i = 0; i < num_measures && r->status().ok(); ++i) {
-    c->measures.push_back(r->Str());
-  }
-  IDA_RETURN_NOT_OK(r->status());
-  if (method > static_cast<uint8_t>(ComparisonMethod::kNormalized)) {
-    return Status::InvalidArgument("model artifact: unknown comparison method " +
-                                   std::to_string(method));
-  }
-  c->method = static_cast<ComparisonMethod>(method);
-  return Status::OK();
-}
-
-void WriteDisplay(const Display& d, Writer* w) {
-  w->U8(static_cast<uint8_t>(d.kind()));
-  w->U64(d.num_rows());
-  w->U64(d.dataset_size());
-  const InterestProfile& p = d.profile();
-  w->Str(p.column);
-  w->U32(static_cast<uint32_t>(p.labels.size()));
-  for (const std::string& l : p.labels) w->Str(l);
-  w->U32(static_cast<uint32_t>(p.values.size()));
-  for (double v : p.values) w->F64(v);
-  w->U32(static_cast<uint32_t>(p.group_sizes.size()));
-  for (double g : p.group_sizes) w->F64(g);
-}
-
-Result<DisplayPtr> ReadDisplay(Reader* r) {
-  uint8_t kind = r->U8();
-  uint64_t num_rows = r->U64();
-  uint64_t dataset_size = r->U64();
-  InterestProfile p;
-  p.column = r->Str();
-  uint32_t num_labels = r->Count(4);
-  p.labels.reserve(num_labels);
-  for (uint32_t i = 0; i < num_labels && r->status().ok(); ++i) {
-    p.labels.push_back(r->Str());
-  }
-  uint32_t num_values = r->Count(8);
-  p.values.reserve(num_values);
-  for (uint32_t i = 0; i < num_values; ++i) p.values.push_back(r->F64());
-  uint32_t num_sizes = r->Count(8);
-  p.group_sizes.reserve(num_sizes);
-  for (uint32_t i = 0; i < num_sizes; ++i) p.group_sizes.push_back(r->F64());
-  IDA_RETURN_NOT_OK(r->status());
-  if (kind > static_cast<uint8_t>(DisplayKind::kAggregated)) {
-    return Status::InvalidArgument("model artifact: unknown display kind " +
-                                   std::to_string(kind));
-  }
-  return DisplayPtr(Display::MakeDetached(
-      static_cast<DisplayKind>(kind), std::move(p),
-      static_cast<size_t>(num_rows), static_cast<size_t>(dataset_size)));
-}
-
-void WriteValue(const Value& v, Writer* w) {
-  w->U8(static_cast<uint8_t>(v.type()));
-  switch (v.type()) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kInt:
-      w->U64(static_cast<uint64_t>(v.as_int()));
-      break;
-    case ValueType::kDouble:
-      w->F64(v.as_double());
-      break;
-    case ValueType::kString:
-      w->Str(v.as_string());
-      break;
-  }
-}
-
-Result<Value> ReadValue(Reader* r) {
-  uint8_t type = r->U8();
-  switch (type) {
-    case static_cast<uint8_t>(ValueType::kNull):
-      return Value::Null();
-    case static_cast<uint8_t>(ValueType::kInt):
-      return Value(static_cast<int64_t>(r->U64()));
-    case static_cast<uint8_t>(ValueType::kDouble):
-      return Value(r->F64());
-    case static_cast<uint8_t>(ValueType::kString):
-      return Value(r->Str());
-    default:
-      return Status::InvalidArgument("model artifact: unknown value type " +
-                                     std::to_string(type));
-  }
-}
-
-void WriteAction(const Action& a, Writer* w) {
-  w->U8(static_cast<uint8_t>(a.type()));
-  switch (a.type()) {
-    case ActionType::kFilter:
-      w->U32(static_cast<uint32_t>(a.predicates().size()));
-      for (const Predicate& p : a.predicates()) {
-        w->Str(p.column);
-        w->U8(static_cast<uint8_t>(p.op));
-        WriteValue(p.operand, w);
-      }
-      break;
-    case ActionType::kGroupBy:
-      w->Str(a.group_column());
-      w->U8(static_cast<uint8_t>(a.agg_func()));
-      w->Str(a.agg_column());
-      break;
-    case ActionType::kBack:
-      break;
-  }
-}
-
-Result<Action> ReadAction(Reader* r) {
-  uint8_t type = r->U8();
-  IDA_RETURN_NOT_OK(r->status());
-  switch (type) {
-    case static_cast<uint8_t>(ActionType::kFilter): {
-      uint32_t num_predicates = r->Count(6);
-      std::vector<Predicate> predicates;
-      predicates.reserve(num_predicates);
-      for (uint32_t i = 0; i < num_predicates && r->status().ok(); ++i) {
-        Predicate p;
-        p.column = r->Str();
-        uint8_t op = r->U8();
-        if (op > static_cast<uint8_t>(CompareOp::kContains)) {
-          return Status::InvalidArgument(
-              "model artifact: unknown compare op " + std::to_string(op));
-        }
-        p.op = static_cast<CompareOp>(op);
-        IDA_ASSIGN_OR_RETURN(p.operand, ReadValue(r));
-        predicates.push_back(std::move(p));
-      }
-      IDA_RETURN_NOT_OK(r->status());
-      if (predicates.empty()) {
-        return Status::InvalidArgument(
-            "model artifact: FILTER action without predicates");
-      }
-      return Action::Filter(std::move(predicates));
-    }
-    case static_cast<uint8_t>(ActionType::kGroupBy): {
-      std::string group_column = r->Str();
-      uint8_t func = r->U8();
-      std::string agg_column = r->Str();
-      IDA_RETURN_NOT_OK(r->status());
-      if (func > static_cast<uint8_t>(AggFunc::kCountDistinct)) {
-        return Status::InvalidArgument(
-            "model artifact: unknown aggregate function " +
-            std::to_string(func));
-      }
-      return Action::GroupBy(std::move(group_column),
-                             static_cast<AggFunc>(func),
-                             std::move(agg_column));
-    }
-    case static_cast<uint8_t>(ActionType::kBack):
-      return Action::Back();
-    default:
-      return Status::InvalidArgument("model artifact: unknown action type " +
-                                     std::to_string(type));
-  }
-}
-
-uint32_t InternPools::Intern(const Display* d) {
-  auto [it, inserted] =
-      display_index.emplace(d, static_cast<uint32_t>(displays.size()));
-  if (inserted) displays.push_back(d);
-  return it->second;
-}
-
-uint32_t InternPools::Intern(const Action& a) {
-  Writer w;
-  WriteAction(a, &w);
-  auto [it, inserted] =
-      action_index.emplace(w.Take(), static_cast<uint32_t>(actions.size()));
-  if (inserted) actions.push_back(it->first);
-  return it->second;
-}
-
-void WriteContext(const NContext& ctx, InternPools* pools, Writer* w) {
-  w->I32(ctx.root());
-  w->I32(ctx.focus());
-  w->U32(static_cast<uint32_t>(ctx.nodes().size()));
-  for (const NContextNode& n : ctx.nodes()) {
-    w->U32(pools->Intern(n.display.get()));
-    w->I32(n.incoming.has_value()
-               ? static_cast<int32_t>(pools->Intern(*n.incoming))
-               : -1);
-    w->I32(n.step);
-    w->I32(n.parent);
-    w->U32(static_cast<uint32_t>(n.children.size()));
-    for (int c : n.children) w->I32(c);
-  }
-}
-
-Result<NContext> ReadContext(Reader* r, const std::vector<DisplayPtr>& displays,
-                             const std::vector<Action>& actions) {
-  NContext ctx;
-  int32_t root = r->I32();
-  int32_t focus = r->I32();
-  uint32_t num_nodes = r->Count(20);  // fixed node fields
-  std::vector<NContextNode>& nodes = *ctx.mutable_nodes();
-  nodes.resize(num_nodes);
-  const int32_t n = static_cast<int32_t>(num_nodes);
-  for (uint32_t i = 0; i < num_nodes && r->status().ok(); ++i) {
-    NContextNode& node = nodes[i];
-    uint32_t display = r->U32();
-    int32_t action = r->I32();
-    node.step = r->I32();
-    node.parent = r->I32();
-    uint32_t num_children = r->Count(4);
-    IDA_RETURN_NOT_OK(r->status());
-    if (display >= displays.size()) {
-      return Status::OutOfRange("model artifact: display index " +
-                                std::to_string(display) + " out of range");
-    }
-    node.display = displays[display];
-    if (action >= 0) {
-      if (static_cast<size_t>(action) >= actions.size()) {
-        return Status::OutOfRange("model artifact: action index " +
-                                  std::to_string(action) + " out of range");
-      }
-      node.incoming = actions[static_cast<size_t>(action)];
-    }
-    if (node.parent < -1 || node.parent >= n) {
-      return Status::OutOfRange("model artifact: node parent out of range");
-    }
-    node.children.reserve(num_children);
-    for (uint32_t c = 0; c < num_children; ++c) {
-      int32_t child = r->I32();
-      if (child < 0 || child >= n) {
-        return Status::OutOfRange("model artifact: node child out of range");
-      }
-      node.children.push_back(child);
-    }
-  }
-  IDA_RETURN_NOT_OK(r->status());
-  if (num_nodes > 0 && (root < 0 || root >= n || focus < 0 || focus >= n)) {
-    return Status::OutOfRange("model artifact: context root/focus out of range");
-  }
-  ctx.set_root(root);
-  ctx.set_focus(focus);
-  return ctx;
-}
-
-}  // namespace internal
-
-using internal::InternPools;
-using internal::ReadAction;
-using internal::ReadConfig;
-using internal::ReadContext;
-using internal::ReadDisplay;
-using internal::WriteConfig;
-using internal::WriteContext;
-using internal::WriteDisplay;
-
-std::string TrainedModel::Serialize(uint32_t version) const {
-  version = std::clamp(version, kMinArtifactVersion, kArtifactVersion);
-  // Version 4 is a different physical layout entirely (flat sections,
-  // engine/artifact_v4.cc); versions 1..3 share the monolithic payload
-  // below.
-  if (version >= 4) return v4::Serialize(*this);
-  // Payload first: config, samples (contexts referencing pool indices),
-  // then the interned pools themselves. Pools are filled while the samples
-  // are encoded, so samples are buffered into their own writer.
-  InternPools pools;
-  Writer samples;
-  samples.U32(static_cast<uint32_t>(samples_.size()));
-  for (const TrainingSample& s : samples_) {
-    samples.I32(s.label);
-    samples.U32(static_cast<uint32_t>(s.labels.size()));
-    for (int l : s.labels) samples.I32(l);
-    samples.F64(s.max_relative);
-    samples.I32(s.tree_index);
-    samples.I32(s.step);
-    WriteContext(s.context, &pools, &samples);
-  }
-
-  Writer payload;
-  WriteConfig(config_, version, &payload);
-  payload.U32(static_cast<uint32_t>(pools.displays.size()));
-  for (const Display* d : pools.displays) WriteDisplay(*d, &payload);
-  payload.U32(static_cast<uint32_t>(pools.actions.size()));
-  std::string payload_bytes = payload.Take();
-  for (const std::string& a : pools.actions) payload_bytes += a;
-  payload_bytes += samples.Take();
-  if (version >= 2) {
-    // Index section: length-prefixed VP-tree blob, empty when the model
-    // carries no index. Version-1 output drops it (rollback support).
-    Writer index;
-    index.Str(index_ != nullptr ? index_->Serialize() : std::string());
-    payload_bytes += index.Take();
-  }
-
-  Writer out;
-  std::string artifact(kArtifactMagic, sizeof(kArtifactMagic));
-  out.U32(version);
-  artifact += out.Take();
-  artifact += payload_bytes;
-  Writer checksum;
-  checksum.U64(Fnv1a(payload_bytes.data(), payload_bytes.size()));
-  artifact += checksum.Take();
-  return artifact;
-}
-
-Result<TrainedModel> TrainedModel::Deserialize(const std::string& bytes) {
-  constexpr size_t kHeader = sizeof(kArtifactMagic) + sizeof(uint32_t);
-  constexpr size_t kFooter = sizeof(uint64_t);
-  if (bytes.size() < kHeader + kFooter) {
-    return Status::InvalidArgument(
-        "model artifact truncated: " + std::to_string(bytes.size()) +
-        " bytes is smaller than the fixed header and footer");
-  }
-  if (std::memcmp(bytes.data(), kArtifactMagic, sizeof(kArtifactMagic)) != 0) {
-    return Status::InvalidArgument(
-        "not an IDA model artifact (bad magic bytes)");
-  }
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + sizeof(kArtifactMagic),
-              sizeof(version));
-  if (version < kMinArtifactVersion || version > kArtifactVersion) {
-    return Status::InvalidArgument(
-        "unsupported model artifact format version " +
-        std::to_string(version) + " (this build reads versions " +
-        std::to_string(kMinArtifactVersion) + ".." +
-        std::to_string(kArtifactVersion) + ")");
-  }
-  // Version 4: flat section layout, parsed by the v4 reader (which always
-  // verifies every section checksum on this heap path).
-  if (version >= 4) return v4::Deserialize(bytes.data(), bytes.size());
-  const char* payload = bytes.data() + kHeader;
-  const size_t payload_size = bytes.size() - kHeader - kFooter;
-  uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, bytes.data() + kHeader + payload_size,
-              sizeof(stored_checksum));
-  if (Fnv1a(payload, payload_size) != stored_checksum) {
-    return Status::InvalidArgument(
-        "model artifact corrupt: payload checksum mismatch");
-  }
-
-  Reader r(payload, payload_size);
-  ModelConfig config;
-  IDA_RETURN_NOT_OK(ReadConfig(&r, version, &config));
-
-  uint32_t num_displays = r.Count(25);  // fixed display fields
-  std::vector<DisplayPtr> displays;
-  displays.reserve(num_displays);
-  for (uint32_t i = 0; i < num_displays; ++i) {
-    IDA_ASSIGN_OR_RETURN(DisplayPtr d, ReadDisplay(&r));
-    displays.push_back(std::move(d));
-  }
-
-  uint32_t num_actions = r.Count(1);
-  std::vector<Action> actions;
-  actions.reserve(num_actions);
-  for (uint32_t i = 0; i < num_actions; ++i) {
-    IDA_ASSIGN_OR_RETURN(Action a, ReadAction(&r));
-    actions.push_back(std::move(a));
-  }
-
-  uint32_t num_samples = r.Count(29);  // fixed sample fields
-  std::vector<TrainingSample> samples;
-  samples.reserve(num_samples);
-  for (uint32_t i = 0; i < num_samples; ++i) {
-    TrainingSample s;
-    s.label = r.I32();
-    uint32_t num_labels = r.Count(4);
-    s.labels.reserve(num_labels);
-    for (uint32_t l = 0; l < num_labels; ++l) s.labels.push_back(r.I32());
-    s.max_relative = r.F64();
-    s.tree_index = r.I32();
-    s.step = r.I32();
-    IDA_ASSIGN_OR_RETURN(s.context, ReadContext(&r, displays, actions));
-    samples.push_back(std::move(s));
-  }
-  IDA_RETURN_NOT_OK(r.status());
-
-  std::shared_ptr<const index::VpTree> index;
-  if (version >= 2) {
-    std::string index_blob = r.Str();
-    IDA_RETURN_NOT_OK(r.status());
-    if (!index_blob.empty()) {
-      IDA_ASSIGN_OR_RETURN(
-          index::VpTree tree,
-          index::VpTree::Deserialize(index_blob, samples.size()));
-      index = std::make_shared<const index::VpTree>(std::move(tree));
-    }
-  }
-  if (r.remaining() != 0) {
-    return Status::InvalidArgument(
-        "model artifact corrupt: " + std::to_string(r.remaining()) +
-        " trailing payload bytes");
-  }
-  return TrainedModel(std::move(config), std::move(samples), std::move(index));
-}
-
-Status TrainedModel::SaveToFile(const std::string& path,
-                                uint32_t version) const {
-  std::string bytes = Serialize(version);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  bool flushed = std::fclose(f) == 0;
-  if (written != bytes.size() || !flushed) {
-    return Status::IoError("short write to " + path);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IoError("cannot replace " + path);
   }
   return Status::OK();
-}
-
-Result<TrainedModel> TrainedModel::LoadFromFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open model artifact " + path);
-  }
-  std::string bytes;
-  char buffer[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    bytes.append(buffer, n);
-  }
-  bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::IoError("error reading model artifact " + path);
-  }
-  Result<TrainedModel> model = Deserialize(bytes);
-  if (!model.ok()) {
-    return Status(model.status().code(),
-                  path + ": " + model.status().message());
-  }
-  return model;
 }
 
 }  // namespace ida::engine

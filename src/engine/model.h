@@ -1,41 +1,22 @@
 // TrainedModel — the serializable output of the offline phase (engine
 // train/serve split, DESIGN.md §9). A trained model is an immutable value:
 // the full ModelConfig plus the labeled training samples with their
-// n-contexts, and (since format version 2) the serving-time kNN index
-// built over them. It serializes to a versioned binary artifact, so a
-// model can be trained once and served from many processes:
+// n-contexts, and the serving-time kNN index built over them. It
+// serializes to one artifact format, so a model can be trained once and
+// served from many processes.
 //
-//   magic "IDAMODEL" | u32 format version | payload | u64 FNV-1a checksum
-//
-// The payload interns the unique displays and action syntaxes of the
-// sample contexts (displays are shared between overlapping n-contexts of
-// the same session, exactly as the distance engine's dense ground tables
-// intern them), stores display *profiles* rather than full data tables
-// (the ground metrics and context fingerprints consume only kind, profile,
-// row count and dataset size — see distance/ground.cc), and encodes every
-// double as its raw IEEE-754 bits, so a loaded model reproduces in-memory
+// The format (engine/artifact_v4.h, DESIGN.md §16) is flat and
+// position-independent: after the magic "IDAMODEL" and a u32 format
+// version comes a section directory of {tag, offset, length, checksum}
+// entries, and every serving structure (interned display pool, flattened
+// contexts, labels, VP-tree node/entry arrays, perfect-hash display memo)
+// is an 8-byte-aligned section valid in place, so a read-only file mapping
+// serves queries without parsing (Predictor::LoadFromFile). Doubles are
+// stored as raw IEEE-754 bits, so a loaded model reproduces in-memory
 // predictions bitwise. Corrupt, truncated or version-mismatched inputs are
-// rejected with a descriptive Status; loading never crashes.
-//
-// Version history:
-//   1 — config + display/action pools + samples.
-//   2 — adds `use_index` to the config section and a length-prefixed
-//       VP-tree blob after the samples (empty blob = no index). Version-1
-//       artifacts still load; they simply carry no index, and the serving
-//       layer falls back to the brute-force scan.
-//   3 — adds the approximate-serving knobs (`approx.enabled`, `.epsilon`,
-//       `.recall_target`) to the config section. Older artifacts load
-//       with the knob off, i.e. exact serving.
-//   4 — flat, zero-copy layout (engine/artifact_v4.h, DESIGN.md §16):
-//       after the magic and version comes a section directory of
-//       {tag, offset, length, checksum} entries, and every serving
-//       structure (interned display pool, flattened contexts, labels,
-//       VP-tree node/entry arrays, perfect-hash display memo) is a flat,
-//       position-independent, 8-byte-aligned section valid in place — a
-//       read-only file mapping serves queries without parsing. A
-//       versions-1..3-compatible heap payload rides along in dedicated
-//       sections, so the heap deserializer round-trips v4 losslessly.
-//       Serialize(3) still emits the previous format (rollback support).
+// rejected with a descriptive Status; loading never crashes. Files written
+// in an older format version are rejected with a version message — re-save
+// the model from its training log.
 #pragma once
 
 #include <cstdint>
@@ -54,12 +35,9 @@ namespace ida::engine {
 /// First bytes of every model artifact.
 inline constexpr char kArtifactMagic[8] = {'I', 'D', 'A', 'M',
                                            'O', 'D', 'E', 'L'};
-/// Current artifact format version. Bump on any layout change; readers
-/// accept kMinArtifactVersion..kArtifactVersion and reject the rest with
-/// an explicit message.
-inline constexpr uint32_t kArtifactVersion = 4;
-/// Oldest artifact version this build still reads.
-inline constexpr uint32_t kMinArtifactVersion = 1;
+/// The artifact format version this build writes and reads. Bump on any
+/// layout change; other versions are rejected with an explicit message.
+inline constexpr uint32_t kArtifactVersion = 5;
 
 /// An immutable trained model: configuration + labeled samples + optional
 /// serving index.
@@ -77,23 +55,17 @@ class TrainedModel {
   size_t size() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
   /// The kNN serving index, or nullptr when the model carries none (index
-  /// disabled at training time, or a version-1 artifact).
+  /// disabled at training time).
   const std::shared_ptr<const index::VpTree>& index() const { return index_; }
 
-  /// Serializes to the versioned artifact format described above.
-  /// `version` selects the on-disk format (rollback support for fleets
-  /// still running version-1 readers); writing version 1 drops the index
-  /// section. Versions outside the supported range are clamped into it.
-  std::string Serialize(uint32_t version = kArtifactVersion) const;
-  /// Inverse of Serialize. Rejects bad magic, unsupported versions,
-  /// truncation, checksum mismatches and malformed index sections with a
-  /// descriptive Status.
-  static Result<TrainedModel> Deserialize(const std::string& bytes);
+  /// Serializes to the artifact format described above.
+  std::string Serialize() const;
 
-  /// Serialize(version) to `path` (default: the current format).
-  Status SaveToFile(const std::string& path,
-                    uint32_t version = kArtifactVersion) const;
-  static Result<TrainedModel> LoadFromFile(const std::string& path);
+  /// Writes Serialize() to `path` atomically: the bytes go to a sibling
+  /// temporary file that is then renamed over `path`, so a process still
+  /// serving a mapping of the old file keeps its old bytes, and readers
+  /// never observe a partly written artifact.
+  Status SaveToFile(const std::string& path) const;
 
  private:
   ModelConfig config_;

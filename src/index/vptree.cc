@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
-#include "common/binio.h"
 #include "distance/bounds.h"
 #include "distance/ground.h"
 #include "distance/zhang_shasha.h"
@@ -469,43 +467,7 @@ void VpTree::VisitNode(uint32_t node_index, SearchState* state) const {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization
-
-namespace {
-/// Minimal encoded size of one node (pivot, children, four range doubles,
-/// four size bounds, entry count) — the Reader::Count guard element size.
-constexpr size_t kMinNodeBytes = 3 * 4 + 4 * 8 + 4 * 4 + 4;
-/// Encoded size of one leaf entry.
-constexpr size_t kEntryBytes = 4 + 8;
-}  // namespace
-
-std::string VpTree::Serialize() const {
-  binio::Writer w;
-  w.U64(static_cast<uint64_t>(num_samples_));
-  w.I32(leaf_size_);
-  w.U32(static_cast<uint32_t>(num_nodes_));
-  for (size_t i = 0; i < num_nodes_; ++i) {
-    const FlatNode& node = nodes_[i];
-    w.I32(node.pivot);
-    w.I32(node.inner);
-    w.I32(node.outer);
-    w.F64(node.inner_lo);
-    w.F64(node.inner_hi);
-    w.F64(node.outer_lo);
-    w.F64(node.outer_hi);
-    w.U32(node.inner_min_size);
-    w.U32(node.inner_max_size);
-    w.U32(node.outer_min_size);
-    w.U32(node.outer_max_size);
-    w.U32(node.entry_count);
-    const VpEntry* slice = entries_ + node.entries_begin;
-    for (uint32_t e = 0; e < node.entry_count; ++e) {
-      w.U32(slice[e].id);
-      w.F64(slice[e].dist);
-    }
-  }
-  return w.Take();
-}
+// Flat-array validation (the artifact loader's WrapFlat)
 
 namespace {
 Status IndexCorrupt(const std::string& what) {
@@ -550,10 +512,10 @@ Status VpTree::ValidateFlat(const FlatNode* nodes, size_t num_nodes,
     return Status::OK();
   };
 
-  // Leaf slices must tile the entry array in node order: both producers
-  // (Build and the v3 byte-stream parser) lay entries out that way, and
-  // exact tiling makes out-of-bounds and overlapping slices in an
-  // adversarial mapped section impossible by construction.
+  // Leaf slices must tile the entry array in node order: Build lays
+  // entries out that way, and exact tiling makes out-of-bounds and
+  // overlapping slices in an adversarial mapped section impossible by
+  // construction.
   size_t entry_cursor = 0;
   for (size_t i = 0; i < num_nodes; ++i) {
     const FlatNode& node = nodes[i];
@@ -622,85 +584,6 @@ Status VpTree::ValidateFlat(const FlatNode* nodes, size_t num_nodes,
   return Status::OK();
 }
 
-Result<VpTree> VpTree::Deserialize(std::string_view bytes,
-                                   size_t num_samples) {
-  binio::Reader r(bytes.data(), bytes.size());
-  // Reader failures (truncation, hostile counts) are reported under the
-  // index-section banner like every structural defect ValidateFlat finds.
-  const auto reader_ok = [&r]() -> Status {
-    if (r.status().ok()) return Status::OK();
-    return IndexCorrupt(std::string(r.status().message()));
-  };
-  VpTree tree;
-  const uint64_t stored_samples = r.U64();
-  tree.leaf_size_ = r.I32();
-  const uint32_t num_nodes = r.Count(kMinNodeBytes);
-  IDA_RETURN_NOT_OK(reader_ok());
-  if (stored_samples != num_samples) {
-    return IndexCorrupt("sample count " + std::to_string(stored_samples) +
-                        " does not match artifact sample count " +
-                        std::to_string(num_samples));
-  }
-  if (tree.leaf_size_ < 1) {
-    return IndexCorrupt("leaf size " + std::to_string(tree.leaf_size_));
-  }
-  tree.num_samples_ = num_samples;
-  if (num_samples == 0) {
-    if (num_nodes != 0 || r.remaining() != 0) {
-      return IndexCorrupt("nonempty tree over zero samples");
-    }
-    return tree;
-  }
-  if (num_nodes == 0) {
-    return IndexCorrupt("empty tree over " + std::to_string(num_samples) +
-                        " samples");
-  }
-
-  // Stream parse into the owned flat arrays — only byte-level failures
-  // (truncation, hostile counts) are detected here; everything structural
-  // is ValidateFlat's job, shared with the mapped-section WrapFlat path.
-  tree.owned_nodes_.resize(num_nodes);
-  for (uint32_t i = 0; i < num_nodes; ++i) {
-    FlatNode& node = tree.owned_nodes_[i];
-    node.pivot = r.I32();
-    node.inner = r.I32();
-    node.outer = r.I32();
-    node.inner_lo = r.F64();
-    node.inner_hi = r.F64();
-    node.outer_lo = r.F64();
-    node.outer_hi = r.F64();
-    node.inner_min_size = r.U32();
-    node.inner_max_size = r.U32();
-    node.outer_min_size = r.U32();
-    node.outer_max_size = r.U32();
-    const uint32_t num_entries = r.Count(kEntryBytes);
-    IDA_RETURN_NOT_OK(reader_ok());
-    // Canonical form (matches Build): only leaves carry an entry slice;
-    // internal nodes keep entries_begin = 0. Keeping the reader aligned
-    // with the builder makes re-serialization byte-stable across versions.
-    node.entries_begin =
-        node.is_leaf() ? static_cast<uint32_t>(tree.owned_entries_.size()) : 0;
-    node.entry_count = num_entries;
-    for (uint32_t e = 0; e < num_entries; ++e) {
-      const uint32_t id = r.U32();
-      const double dist = r.F64();
-      tree.owned_entries_.push_back(VpEntry{id, 0, dist});
-    }
-    IDA_RETURN_NOT_OK(reader_ok());
-  }
-  if (r.remaining() != 0) {
-    return IndexCorrupt("trailing bytes after tree");
-  }
-  tree.nodes_ = tree.owned_nodes_.data();
-  tree.num_nodes_ = tree.owned_nodes_.size();
-  tree.entries_ = tree.owned_entries_.data();
-  tree.num_entries_ = tree.owned_entries_.size();
-  IDA_RETURN_NOT_OK(ValidateFlat(tree.nodes_, tree.num_nodes_, tree.entries_,
-                                 tree.num_entries_, num_samples,
-                                 tree.leaf_size_));
-  return tree;
-}
-
 Result<VpTree> VpTree::WrapFlat(const FlatNode* nodes, size_t num_nodes,
                                 const VpEntry* entries, size_t num_entries,
                                 size_t num_samples, int leaf_size) {
@@ -712,23 +595,6 @@ Result<VpTree> VpTree::WrapFlat(const FlatNode* nodes, size_t num_nodes,
   tree.num_nodes_ = num_nodes;
   tree.entries_ = entries;
   tree.num_entries_ = num_entries;
-  tree.num_samples_ = num_samples;
-  tree.leaf_size_ = leaf_size;
-  return tree;
-}
-
-Result<VpTree> VpTree::FromFlat(std::vector<FlatNode> nodes,
-                                std::vector<VpEntry> entries,
-                                size_t num_samples, int leaf_size) {
-  IDA_RETURN_NOT_OK(ValidateFlat(nodes.data(), nodes.size(), entries.data(),
-                                 entries.size(), num_samples, leaf_size));
-  VpTree tree;
-  tree.owned_nodes_ = std::move(nodes);
-  tree.owned_entries_ = std::move(entries);
-  tree.nodes_ = tree.owned_nodes_.data();
-  tree.num_nodes_ = tree.owned_nodes_.size();
-  tree.entries_ = tree.owned_entries_.data();
-  tree.num_entries_ = tree.owned_entries_.size();
   tree.num_samples_ = num_samples;
   tree.leaf_size_ = leaf_size;
   return tree;

@@ -42,7 +42,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -54,7 +53,7 @@
 namespace ida::index {
 
 /// One VP-tree node in the flat, position-independent layout (also the
-/// record format of the artifact v4 VPTN section, DESIGN.md §16): all
+/// record format of the model artifact's VPTN section, DESIGN.md §16): all
 /// references are indices — children into the node array, leaf entries a
 /// [entries_begin, entries_begin + entry_count) slice of the entry array
 /// — so the arrays are valid wherever they sit, including inside a
@@ -84,15 +83,15 @@ struct FlatNode {
 };
 
 /// One leaf entry: (sample id, core distance to the leaf pivot). 16-byte
-/// record of the artifact v4 VPTE section.
+/// record of the model artifact's VPTE section.
 struct VpEntry {
   uint32_t id = 0;
   uint32_t pad = 0;
   double dist = 0.0;
 };
 
-static_assert(sizeof(FlatNode) == 72, "v4 VPTN record layout");
-static_assert(sizeof(VpEntry) == 16, "v4 VPTE record layout");
+static_assert(sizeof(FlatNode) == 72, "VPTN record layout");
+static_assert(sizeof(VpEntry) == 16, "VPTE record layout");
 static_assert(std::is_trivially_copyable_v<FlatNode>);
 static_assert(std::is_trivially_copyable_v<VpEntry>);
 
@@ -143,7 +142,7 @@ struct IndexStats {
 };
 
 /// A vantage-point tree over training-sample n-contexts. Immutable after
-/// Build/Deserialize; Search is const and takes caller-owned scratch, so
+/// Build/WrapFlat; Search is const and takes caller-owned scratch, so
 /// one tree may serve many threads concurrently.
 class VpTree {
  public:
@@ -191,37 +190,20 @@ class VpTree {
   size_t num_nodes() const { return num_nodes_; }
   int leaf_size() const { return leaf_size_; }
 
-  /// The flat node/entry arrays (artifact v4 writer input; see FlatNode).
+  /// The flat node/entry arrays (artifact writer input; see FlatNode).
   const FlatNode* nodes_data() const { return nodes_; }
   const VpEntry* entries_data() const { return entries_; }
   size_t num_entries() const { return num_entries_; }
 
-  /// Serializes into a self-contained blob (embedded in the model
-  /// artifact's index section).
-  std::string Serialize() const;
-  /// Inverse of Serialize. Validates structure exhaustively — sample ids
-  /// in range and covered exactly once, child links forming a tree, finite
-  /// cached distances — so a corrupted index section is rejected with a
-  /// descriptive Status, never crashed on. `num_samples` is the sample
-  /// count of the surrounding artifact.
-  static Result<VpTree> Deserialize(std::string_view bytes,
-                                    size_t num_samples);
-
-  /// Wraps externally-owned flat arrays — typically the VPTN/VPTE sections
-  /// of a mapped artifact v4 — WITHOUT copying them; the caller must keep
-  /// the arrays alive and unchanged for the tree's lifetime. Runs the
-  /// exact same exhaustive structural validation as Deserialize, so an
-  /// adversarial mapped section is rejected with a descriptive Status.
+  /// Wraps externally-owned flat arrays — the VPTN/VPTE sections of a
+  /// mapped model artifact — WITHOUT copying them; the caller must keep
+  /// the arrays alive and unchanged for the tree's lifetime. Validates
+  /// structure exhaustively — sample ids in range and covered exactly
+  /// once, child links forming a tree, finite cached distances — so an
+  /// adversarial section is rejected with a descriptive Status, never
+  /// crashed on. `num_samples` is the sample count of the artifact.
   static Result<VpTree> WrapFlat(const FlatNode* nodes, size_t num_nodes,
                                  const VpEntry* entries, size_t num_entries,
-                                 size_t num_samples, int leaf_size);
-
-  /// Owning counterpart of WrapFlat: adopts flat arrays copied off an
-  /// artifact v4's VPTN/VPTE sections (the heap deserialization path).
-  /// Same exhaustive validation; the arrays are preserved verbatim, so
-  /// re-serializing reproduces the original sections bitwise.
-  static Result<VpTree> FromFlat(std::vector<FlatNode> nodes,
-                                 std::vector<VpEntry> entries,
                                  size_t num_samples, int leaf_size);
 
   /// Moving keeps span validity (owned vectors transfer their heap
@@ -235,7 +217,7 @@ class VpTree {
   struct BuildState;
   struct SearchState;
 
-  /// The shared structural validator behind Deserialize and WrapFlat:
+  /// The structural validator behind WrapFlat:
   /// sample ids in range and covered exactly once (pivot or entry), child
   /// links strictly forward and each non-root node referenced exactly
   /// once, leaves vs internals well-formed, finite ordered distance
@@ -250,8 +232,8 @@ class VpTree {
                                     uint64_t depth, BuildState* state);
   void VisitNode(uint32_t node_index, SearchState* state) const;
 
-  /// Serving spans: point into owned_* after Build/Deserialize, into the
-  /// caller's (e.g. mapped) arrays after WrapFlat.
+  /// Serving spans: point into owned_* after Build, into the caller's
+  /// (mapped) arrays after WrapFlat.
   const FlatNode* nodes_ = nullptr;
   size_t num_nodes_ = 0;
   const VpEntry* entries_ = nullptr;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <string>
 
 #include "common/parallel.h"
 #include "distance/bounds.h"
@@ -126,71 +127,89 @@ Prediction KnnVote(const std::vector<double>& distances,
   return VoteOnSorted(order.data(), k, train, options, stats);
 }
 
-IKnnClassifier::IKnnClassifier(std::vector<TrainingSample> train,
-                               SessionDistance metric, KnnOptions options,
-                               std::shared_ptr<const index::VpTree> index,
-                               ApproxOptions approx)
-    : train_(std::make_shared<const std::vector<TrainingSample>>(
-          std::move(train))),
-      metric_(std::move(metric)),
-      options_(options),
-      approx_(approx),
-      bound_inflation_(approx.BoundInflation()) {
-  prepared_.reserve(train_->size());
-  for (const TrainingSample& s : *train_) {
-    prepared_.push_back(SessionDistance::Prepare(s.context));
-    // Training displays live as long as the classifier (and so as long as
-    // the metric's shared cache): admit their pairs to it. Query displays
-    // are never marked — a query may be freed between predictions, and a
-    // cache entry surviving it would be served to whatever display later
-    // recycles the address.
-    metric_.MarkStable(prepared_.back());
-  }
-  // Accept the index only when it indexes exactly this training set.
-  if (index != nullptr && index->size() == train_->size()) {
-    index_ = std::move(index);
+FlatTrainingSet BuildFlatTrainingSet(
+    std::vector<TrainingSample> train,
+    std::shared_ptr<const index::VpTree> index) {
+  FlatTrainingSet out;
+  out.meta = std::move(train);
+  out.index = std::move(index);
+  out.contexts.reserve(out.meta.size());
+  for (const TrainingSample& s : out.meta) {
+    out.contexts.push_back(SessionDistance::Prepare(s.context));
   }
 
-  // Intern the training displays into a dense id pool (one id per
-  // identity, first-seen order) and stamp every prepared context with
-  // this classifier's id-space token: the workspace display memo is then
-  // keyed by small stable ids instead of addresses, which is what lets
-  // it survive across queries (see TedWorkspace).
-  pool_token_ = NextPoolToken();
-  for (FlatContext& ctx : prepared_) {
-    // num_leaves <= 1 (chain or empty): the structure bound for any pair
-    // of such contexts is exactly the size bound (leaf and internal-node
-    // count differences are both dominated by the size difference).
-    if (ctx.num_leaves > 1) corpus_branched_ = true;
+  // Intern the displays into a dense id pool (one id per identity,
+  // first-seen postorder) and the incoming actions by syntax (verified
+  // with ==, so two actions share a slot only when they are equal), then
+  // re-point every node at the pools. The views borrow the displays of
+  // out.meta's contexts, which the classifier keeps alive; the action
+  // pointers target out.actions, whose buffer survives vector moves.
+  std::unordered_map<const Display*, int32_t> display_ids;
+  std::unordered_map<std::string, std::vector<size_t>> action_slots;
+  out.actions.emplace_back(std::nullopt);
+  std::vector<size_t> slots;  // per node, in context-then-postorder order
+  for (FlatContext& ctx : out.contexts) {
     for (FlatContext::Node& node : ctx.post) {
-      auto [it, inserted] = display_id_by_identity_.try_emplace(
-          node.display.identity, static_cast<int32_t>(pool_views_.size()));
-      if (inserted) pool_views_.push_back(node.display);
+      auto [it, inserted] = display_ids.try_emplace(
+          node.display.identity, static_cast<int32_t>(out.pool_views.size()));
+      if (inserted) out.pool_views.push_back(node.display);
       node.display_id = it->second;
+      size_t slot = 0;
+      if (node.incoming->has_value()) {
+        const Action& a = **node.incoming;
+        std::vector<size_t>& same_syntax = action_slots[a.Serialize()];
+        for (size_t candidate : same_syntax) {
+          if (*out.actions[candidate] == a) {
+            slot = candidate;
+            break;
+          }
+        }
+        if (slot == 0) {
+          slot = out.actions.size();
+          same_syntax.push_back(slot);
+          out.actions.emplace_back(a);
+        }
+      }
+      slots.push_back(slot);
     }
-    ctx.pool = pool_token_;
   }
-  // Build the minimal perfect hash over the pool's content fingerprints
+  // Pointers are taken only once the pool has stopped growing.
+  size_t next = 0;
+  for (FlatContext& ctx : out.contexts) {
+    for (FlatContext::Node& node : ctx.post) {
+      node.incoming = &out.actions[slots[next++]];
+    }
+  }
+
+  // The minimal perfect hash over the pool's content fingerprints
   // (content-duplicate displays share their first id as representative:
   // resolving a query onto the representative yields bitwise-identical
   // distances, since the ground metric reads only content). Build failure
-  // just means queries resolve by identity alone.
-  if (!pool_views_.empty()) {
+  // just means queries stay unresolved.
+  if (!out.pool_views.empty()) {
     std::unordered_map<uint64_t, uint32_t> rep;
     std::vector<uint64_t> keys;
     std::vector<uint32_t> values;
-    keys.reserve(pool_views_.size());
-    values.reserve(pool_views_.size());
-    for (size_t id = 0; id < pool_views_.size(); ++id) {
-      const uint64_t fp = ContentFingerprint(pool_views_[id]);
+    keys.reserve(out.pool_views.size());
+    values.reserve(out.pool_views.size());
+    for (size_t id = 0; id < out.pool_views.size(); ++id) {
+      const uint64_t fp = ContentFingerprint(out.pool_views[id]);
       if (rep.try_emplace(fp, static_cast<uint32_t>(id)).second) {
         keys.push_back(fp);
         values.push_back(static_cast<uint32_t>(id));
       }
     }
-    display_phf_ = PerfectHash::Build(keys, values);
+    out.phf = PerfectHash::Build(keys, values);
   }
+  return out;
 }
+
+IKnnClassifier::IKnnClassifier(std::vector<TrainingSample> train,
+                               SessionDistance metric, KnnOptions options,
+                               std::shared_ptr<const index::VpTree> index,
+                               ApproxOptions approx)
+    : IKnnClassifier(BuildFlatTrainingSet(std::move(train), std::move(index)),
+                     std::move(metric), options, approx) {}
 
 IKnnClassifier::IKnnClassifier(FlatTrainingSet flat, SessionDistance metric,
                                KnnOptions options, ApproxOptions approx)
@@ -202,42 +221,38 @@ IKnnClassifier::IKnnClassifier(FlatTrainingSet flat, SessionDistance metric,
       metric_(std::move(metric)),
       options_(options),
       approx_(approx),
-      bound_inflation_(approx.BoundInflation()) {
-  // Adopt the pre-built storage: the action pool the nodes' `incoming`
-  // pointers target (vector moves keep the heap buffer, so the pointers
-  // stay valid) and the mapping every view borrows.
-  flat_actions_ = std::move(flat.actions);
-  storage_ = std::move(flat.storage);
+      bound_inflation_(approx.BoundInflation()),
+      flat_actions_(std::move(flat.actions)),
+      storage_(std::move(flat.storage)) {
+  // Moving the vectors kept their heap buffers, so the nodes' `incoming`
+  // pointers into flat_actions_ and the views into the samples' displays
+  // (or the mapping) stay valid. Accept the index only when it indexes
+  // exactly this training set.
   if (flat.index != nullptr && flat.index->size() == train_->size()) {
     index_ = std::move(flat.index);
   }
-  // The contexts arrive flattened and display-id-stamped in this pool's
-  // id order; only the per-classifier steps remain: the id-space token,
-  // the branchiness summary (see the heap constructor) and marking the
-  // pool displays cache-stable.
+  // Per-classifier steps: the id-space token (the workspace display memo
+  // is keyed by these small stable pool ids instead of addresses, which
+  // lets it survive across queries; see TedWorkspace), the branchiness
+  // summary, and marking the pool displays cache-stable. Training
+  // displays live as long as the classifier (and so as long as the
+  // metric's shared cache); query displays are never marked — a query may
+  // be freed between predictions, and a cache entry surviving it would be
+  // served to whatever display later recycles the address.
   pool_token_ = NextPoolToken();
   for (FlatContext& ctx : prepared_) {
+    // num_leaves <= 1 (chain or empty): the structure bound for any pair
+    // of such contexts is exactly the size bound (leaf and internal-node
+    // count differences are both dominated by the size difference).
     if (ctx.num_leaves > 1) corpus_branched_ = true;
     ctx.pool = pool_token_;
     metric_.MarkStable(ctx);
-  }
-  // Identity map over the mapped pool records: queries never carry mapped
-  // identities (they resolve via the PHF content probe), but PredictLoo
-  // re-resolves prepared contexts and must find their own ids.
-  for (size_t id = 0; id < pool_views_.size(); ++id) {
-    display_id_by_identity_.emplace(pool_views_[id].identity,
-                                    static_cast<int32_t>(id));
   }
 }
 
 void IKnnClassifier::ResolveQueryDisplayIds(FlatContext* query) const {
   for (FlatContext::Node& node : query->post) {
     node.display_id = -1;
-    const auto it = display_id_by_identity_.find(node.display.identity);
-    if (it != display_id_by_identity_.end()) {
-      node.display_id = it->second;
-      continue;
-    }
     if (display_phf_.has_value()) {
       const std::optional<uint32_t> id =
           display_phf_->view().Lookup(ContentFingerprint(node.display));

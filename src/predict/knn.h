@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mapped_file.h"
@@ -158,42 +157,56 @@ Prediction KnnVote(const std::vector<double>& distances,
                    const KnnOptions& options, int exclude = -1,
                    VoteStats* stats = nullptr);
 
-/// Zero-copy construction input of the classifier (DESIGN.md §16),
-/// assembled by the artifact-v4 mapped loader (engine/artifact_v4.cc):
-/// everything the serving hot path touches, already flat. The prepared
-/// contexts' display views and the index's node/entry arrays borrow the
-/// mapped artifact's bytes (`storage` keeps the mapping alive); the
-/// metadata samples carry labels/provenance only — their NContexts are
-/// EMPTY, which is fine because serving reads contexts exclusively
-/// through the prepared FlatContexts. Node `incoming` pointers must point
-/// into `actions` (or any storage outliving the classifier).
+/// The classifier's one construction input (DESIGN.md §16): everything
+/// the serving hot path touches, already flat. Two producers fill it
+/// identically — BuildFlatTrainingSet from in-memory samples (Fit-time
+/// serving, LOOCV, and the artifact writer, which serializes exactly this
+/// set), and the mapped artifact loader (engine/artifact_v4.cc), whose
+/// display views and index arrays borrow the file mapping (`storage`
+/// keeps it alive). In the mapped case the metadata samples carry
+/// labels/provenance only — their NContexts are EMPTY, which is fine
+/// because serving reads contexts exclusively through the prepared
+/// FlatContexts. Node `incoming` pointers point into `actions`.
 struct FlatTrainingSet {
-  /// Per-sample label/provenance metadata (empty contexts; see above).
+  /// Per-sample label/provenance metadata (in-memory: the full samples,
+  /// whose displays the views borrow; mapped: empty contexts).
   std::vector<TrainingSample> meta;
-  /// Prepared (flattened) training contexts, mapping-backed.
+  /// Prepared (flattened) training contexts, display-id-stamped in
+  /// `pool_views` order.
   std::vector<FlatContext> contexts;
-  /// Interned incoming-action pool the contexts' nodes point into.
+  /// Interned incoming-action pool the contexts' nodes point into: slot 0
+  /// is the empty optional of context roots, pool id i lives in slot i+1.
   std::vector<std::optional<Action>> actions;
-  /// Interned display pool, in artifact id order (nodes' display_id
-  /// values index it).
+  /// Interned display pool (first-seen identity order over the contexts'
+  /// postorder nodes); nodes' display_id values index it.
   std::vector<DisplayView> pool_views;
   /// Content-fingerprint -> representative pool id perfect hash (nullopt:
   /// queries resolve by identity only).
   std::optional<PerfectHash> phf;
-  /// Serving index wrapped over the mapped node/entry sections (nullptr =
-  /// brute-force scan).
+  /// Serving index (nullptr = brute-force scan).
   std::shared_ptr<const index::VpTree> index;
-  /// Keep-alive of the storage every view above borrows.
+  /// Keep-alive of the mapping the mapped views borrow (null in memory).
   std::shared_ptr<const MappedArtifact> storage;
 };
 
+/// Builds the flat set from in-memory samples: prepares every context,
+/// interns its displays (by identity) and incoming actions (by syntax)
+/// into the pools, stamps the display ids, and builds the display perfect
+/// hash over the pool's content fingerprints (first id per distinct
+/// fingerprint is the representative). Deterministic in the samples.
+/// `index`, when non-null, must be built over exactly these samples.
+FlatTrainingSet BuildFlatTrainingSet(
+    std::vector<TrainingSample> train,
+    std::shared_ptr<const index::VpTree> index = nullptr);
+
 /// The full model: owns the training set and the distance metric.
 ///
-/// The training set is held behind a shared_ptr and its contexts are
-/// flattened once at construction, so copies of the classifier share both
-/// and stay cheap and safe.
+/// The classifier serves one representation, the FlatTrainingSet; the
+/// training metadata is held behind a shared_ptr, so copies of the
+/// classifier share it and stay cheap and safe.
 class IKnnClassifier {
  public:
+  /// In-memory construction: delegates through BuildFlatTrainingSet.
   /// `index`, when non-null, must have been built over exactly this
   /// training set (same order); it is ignored if its size disagrees.
   /// `approx` configures the opt-in approximate serving mode; the default
@@ -203,12 +216,11 @@ class IKnnClassifier {
                  std::shared_ptr<const index::VpTree> index = nullptr,
                  ApproxOptions approx = {});
 
-  /// Zero-copy construction from a mapped artifact's flat sections: no
-  /// context re-preparation, no display materialization, no index
-  /// rebuild — the classifier adopts the pre-flattened views and serves
-  /// them in place. Predictions are bitwise identical to a classifier
-  /// built from the equivalent heap model (the distance layer reads only
-  /// DisplayView content, which both backings expose identically).
+  /// Adopts a flat training set as is: no context re-preparation, no
+  /// display materialization, no index rebuild. A set mapped from an
+  /// artifact serves bitwise what the in-memory set it was written from
+  /// serves (the distance layer reads only DisplayView content, which
+  /// both backings expose identically).
   IKnnClassifier(FlatTrainingSet flat, SessionDistance metric,
                  KnnOptions options, ApproxOptions approx = {});
 
@@ -231,12 +243,12 @@ class IKnnClassifier {
                          PredictStats* stats = nullptr) const;
 
   /// Resolves each query node's display to this model's interned display
-  /// pool and stamps the context with the pool's id-space token: exact
-  /// identity matches via the pointer map, content matches via a
-  /// single-probe minimal-perfect-hash lookup on the display's content
-  /// fingerprint (verified with a full content compare, so a fingerprint
-  /// collision degrades to "unresolved", never to a wrong id); everything
-  /// else stays -1 and is served under workspace-ephemeral ids.
+  /// pool and stamps the context with the pool's id-space token: content
+  /// matches via a single-probe minimal-perfect-hash lookup on the
+  /// display's content fingerprint (verified with a full content compare,
+  /// so a fingerprint collision degrades to "unresolved", never to a wrong
+  /// id); everything else stays -1 and is served under
+  /// workspace-ephemeral ids.
   /// Resolution only affects memo keying — predictions are bitwise
   /// independent of it (a content-matched pool display computes exactly
   /// the distances the query's own display would). Called by every
@@ -271,19 +283,17 @@ class IKnnClassifier {
                              PredictStats* stats) const;
 
   std::shared_ptr<const std::vector<TrainingSample>> train_;
-  /// Prepared (flattened) view of each training context; borrows storage
-  /// from *train_.
+  /// Prepared (flattened) view of each training context; borrows the
+  /// displays of *train_ (in memory) or of storage_ (mapped).
   std::vector<FlatContext> prepared_;
   /// Process-unique token of this classifier's display-id space (stamped
   /// on prepared_ and on resolved queries; see FlatContext::pool).
   uint64_t pool_token_ = 0;
-  /// Identity -> dense pool id over the training displays.
-  std::unordered_map<const Display*, int32_t> display_id_by_identity_;
   /// Pool id -> display view (for content verification of PHF hits).
   std::vector<DisplayView> pool_views_;
   /// Minimal perfect hash: content fingerprint -> representative pool id
   /// (first id per distinct fingerprint). nullopt when construction
-  /// failed; queries then resolve by identity only (slower, identical
+  /// failed; queries then stay unresolved (slower, identical
   /// predictions).
   std::optional<PerfectHash> display_phf_;
   /// True when any training context branches (num_leaves > 1). When the
@@ -298,9 +308,8 @@ class IKnnClassifier {
   /// approx_.BoundInflation(), resolved once (exactly 1.0 in exact mode).
   double bound_inflation_ = 1.0;
   std::shared_ptr<const index::VpTree> index_;
-  /// Flat-mode storage (empty/null for heap-built classifiers): the
-  /// interned incoming-action pool the prepared contexts' nodes point
-  /// into, and the mapped artifact backing every display view and the
+  /// The interned incoming-action pool the prepared contexts' nodes point
+  /// into, and the mapping (if any) backing every display view and the
   /// index's flat arrays.
   std::vector<std::optional<Action>> flat_actions_;
   std::shared_ptr<const MappedArtifact> storage_;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "distance/ted.h"
+#include "engine/artifact_v4.h"
 #include "engine/model.h"
 
 namespace ida::serve {
@@ -303,22 +304,17 @@ Status SessionManager::Close(const std::string& session_id) {
   return Status::OK();
 }
 
-Status SessionManager::Reload(engine::TrainedModel model) {
-  // Build the replacement fully before publishing anything: a model that
-  // fails validation leaves the served epoch untouched.
-  obs::ObsConfig predictor_obs;
-  {
-    MutexLock lock(&model_mu_);
-    predictor_obs = current_->obs();
-  }
-  IDA_ASSIGN_OR_RETURN(engine::Predictor loaded,
-                       engine::Predictor::Load(std::move(model),
-                                               predictor_obs));
-  auto next = std::make_shared<const engine::Predictor>(std::move(loaded));
+obs::ObsConfig SessionManager::PredictorObs() const {
+  MutexLock lock(&model_mu_);
+  return current_->obs();
+}
+
+void SessionManager::Publish(engine::Predictor next) {
+  auto published = std::make_shared<const engine::Predictor>(std::move(next));
   uint64_t epoch = 0;
   {
     MutexLock lock(&model_mu_);
-    current_ = std::move(next);
+    current_ = std::move(published);
     epoch = epoch_.load(std::memory_order_relaxed) + 1;
     epoch_.store(epoch, std::memory_order_release);
   }
@@ -326,15 +322,36 @@ Status SessionManager::Reload(engine::TrainedModel model) {
     metrics_.reloads->Increment();
     metrics_.epoch->Set(static_cast<double>(epoch));
   }
+}
+
+Status SessionManager::Reload(engine::TrainedModel model) {
+  // Build the replacement fully before publishing anything: a model that
+  // fails validation leaves the served epoch untouched.
+  IDA_ASSIGN_OR_RETURN(
+      engine::Predictor loaded,
+      engine::Predictor::Load(std::move(model), PredictorObs()));
+  Publish(std::move(loaded));
   return Status::OK();
 }
 
 Status SessionManager::ReloadFromFile(const std::string& path) {
-  // Magic / version / checksum validation happens here, before any swap:
-  // a torn or corrupt artifact is rejected with the loader's Status.
-  IDA_ASSIGN_OR_RETURN(engine::TrainedModel model,
-                       engine::TrainedModel::LoadFromFile(path));
-  return Reload(std::move(model));
+  // Magic / version / structure and every section checksum are validated
+  // here, before any swap: a torn or corrupt artifact is rejected with
+  // the loader's Status. A hot reload replaces a model that is serving
+  // well, so it pays the eager check that a cold start may defer.
+  const auto wrap = [&path](const Status& s) {
+    return Status(s.code(), path + ": " + s.message());
+  };
+  IDA_ASSIGN_OR_RETURN(MappedArtifact mapped, MappedArtifact::Open(path));
+  Result<ModelConfig> config = engine::v4::PeekConfig(mapped);
+  if (!config.ok()) return wrap(config.status());
+  config->load.eager_checksums = true;
+  Result<engine::Predictor> loaded = engine::Predictor::LoadMapped(
+      std::make_shared<const MappedArtifact>(std::move(mapped)),
+      std::move(*config), PredictorObs());
+  if (!loaded.ok()) return wrap(loaded.status());
+  Publish(std::move(*loaded));
+  return Status::OK();
 }
 
 ServeInfo SessionManager::Info() const {

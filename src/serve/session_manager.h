@@ -120,8 +120,10 @@ class SessionManager {
   /// finishes on the previous epoch; a model that fails validation
   /// leaves the service untouched and returns the error.
   Status Reload(engine::TrainedModel model);
-  /// Same from a serialized artifact: the loader's magic/version/checksum
-  /// checks reject torn or corrupt files before any swap happens.
+  /// Same from a serialized artifact, through the one loader
+  /// (Predictor::LoadMapped) with every section checksum verified: torn,
+  /// corrupt or version-mismatched files are rejected before any swap
+  /// happens, and the new epoch serves the file zero-copy.
   Status ReloadFromFile(const std::string& path);
 
   /// The current model epoch (starts at 1, +1 per successful reload).
@@ -206,6 +208,10 @@ class SessionManager {
   /// `shard.mu`.
   static void Touch(Shard& shard, LiveSession& s) IDA_REQUIRES(shard.mu);
   void SetLiveGauge() const;
+  /// The current predictor's ObsConfig (inherited by reloaded models).
+  obs::ObsConfig PredictorObs() const;
+  /// Publishes `next` as the new epoch (Reload's swap step).
+  void Publish(engine::Predictor next);
 
   ServeOptions options_;
   obs::ObsConfig obs_;

@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace ida {
+
+// Prints an action as its serialized form, so parameterized test names and
+// failure messages are readable and stable (the default printer dumps the
+// object's raw bytes, which include heap addresses).
+void PrintTo(const Action& action, std::ostream* os) {
+  *os << action.Serialize();
+}
+
 namespace {
 
 TEST(ActionTest, FilterFactory) {

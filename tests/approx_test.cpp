@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "artifact_test_util.h"
 #include "engine/engine.h"
 #include "engine/model.h"
 #include "synth/generator.h"
@@ -170,19 +171,22 @@ TEST_F(ApproxServingTest, ApproxNeverEvaluatesMoreExactDistances) {
 }
 
 TEST_F(ApproxServingTest, ArtifactRoundTripsTheApproxKnobs) {
-  // Version-3 artifacts carry the knobs; a reloaded lossy model serves
-  // with them.
+  // The artifact carries the knobs; a reloaded lossy model serves with
+  // them, and answers exactly as the in-memory lossy model does.
   engine::TrainedModel lossy = Twin(/*use_index=*/true, Lossy());
-  auto reloaded = engine::TrainedModel::Deserialize(lossy.Serialize());
+  auto reloaded = testing::LoadBytes(lossy.Serialize());
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_TRUE(reloaded->config().approx.enabled);
   EXPECT_EQ(reloaded->config().approx.epsilon, Lossy().epsilon);
   EXPECT_EQ(reloaded->config().approx.recall_target, Lossy().recall_target);
-  // Writing the previous format drops the knobs and loads exact (the
-  // pre-approx default), not garbage.
-  auto old = engine::TrainedModel::Deserialize(lossy.Serialize(2));
-  ASSERT_TRUE(old.ok()) << old.status().ToString();
-  EXPECT_FALSE(old->config().approx.enabled);
+  auto in_memory = engine::Predictor::Load(lossy);
+  ASSERT_TRUE(in_memory.ok());
+  for (const NContext& q : Queries()) {
+    const Prediction a = in_memory->Predict(q);
+    const Prediction b = reloaded->Predict(q);
+    EXPECT_EQ(a.label, b.label);
+    EXPECT_EQ(a.confidence, b.confidence);  // bitwise
+  }
 }
 
 TEST(ApproxConfig, ValidationRejectsMalformedKnobs) {

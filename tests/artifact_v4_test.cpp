@@ -1,21 +1,19 @@
-// Adversarial and equivalence tests of the artifact v4 flat layout
-// (engine/artifact_v4.h, DESIGN.md §16): section-directory validation
-// (truncation, overlap, misalignment, trailing bytes), per-section
-// checksum behavior under the eager/lazy policies, cross-version round
-// trips, canonical re-serialization, the IDA_MMAP override, and bitwise
-// prediction equivalence between the mapped and heap serving paths in
-// brute-force, indexed and approximate modes.
+// Adversarial and equivalence tests of the model artifact's flat layout
+// (engine/artifact_v4.h, DESIGN.md §16), all through the one loader
+// (Predictor::LoadFromFile): section-directory validation (truncation,
+// overlap, misalignment, trailing bytes), per-section checksum behavior
+// under the eager/lazy policies, and bitwise prediction equivalence
+// between the mapped artifact and the in-memory (heap) model it was
+// written from, in brute-force, indexed and approximate modes.
 #include "engine/artifact_v4.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/binio.h"
+#include "artifact_test_util.h"
 #include "engine/engine.h"
 #include "synth/generator.h"
 
@@ -23,6 +21,15 @@ namespace ida {
 namespace {
 
 namespace v4 = engine::v4;
+using testing::FindEntryIndex;
+using testing::FixDirectoryChecksum;
+using testing::FixSectionChecksum;
+using testing::kArtifactHeaderSize;
+using testing::LoadBytes;
+using testing::ReadEntry;
+using testing::SectionCount;
+using testing::TempArtifact;
+using testing::WriteEntry;
 
 ModelConfig TestConfig() {
   ModelConfig config = DefaultNormalizedConfig();
@@ -30,72 +37,6 @@ ModelConfig TestConfig() {
   config.theta_interest = -100.0;
   config.knn.distance_threshold = 0.25;
   return config;
-}
-
-/// Sets (or clears, with nullptr) IDA_MMAP for one scope.
-class ScopedEnv {
- public:
-  explicit ScopedEnv(const char* value) {
-    if (value != nullptr) {
-      ::setenv("IDA_MMAP", value, 1);
-    } else {
-      ::unsetenv("IDA_MMAP");
-    }
-  }
-  ~ScopedEnv() { ::unsetenv("IDA_MMAP"); }
-};
-
-/// A temp artifact file removed on scope exit.
-class TempArtifact {
- public:
-  explicit TempArtifact(const std::string& bytes) {
-    path_ = ::testing::TempDir() + "artifact_v4_test_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".idamodel";
-    std::FILE* f = std::fopen(path_.c_str(), "wb");
-    EXPECT_NE(f, nullptr);
-    EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-    std::fclose(f);
-  }
-  ~TempArtifact() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-constexpr size_t kHeaderSize = 16;  // magic + version + section count
-
-uint32_t SectionCount(const std::string& bytes) {
-  uint32_t count = 0;
-  std::memcpy(&count, bytes.data() + 12, sizeof(count));
-  return count;
-}
-
-v4::SectionEntry ReadEntry(const std::string& bytes, size_t i) {
-  v4::SectionEntry e;
-  std::memcpy(&e, bytes.data() + kHeaderSize + i * sizeof(e), sizeof(e));
-  return e;
-}
-
-void WriteEntry(std::string* bytes, size_t i, const v4::SectionEntry& e) {
-  std::memcpy(bytes->data() + kHeaderSize + i * sizeof(e), &e, sizeof(e));
-}
-
-/// Recomputes the directory checksum after an entry edit, so the edit
-/// itself (not the checksum) is what the validator must catch.
-void FixDirectoryChecksum(std::string* bytes) {
-  const size_t dir_end =
-      kHeaderSize + SectionCount(*bytes) * sizeof(v4::SectionEntry);
-  const uint64_t sum = binio::Fnv1a(bytes->data(), dir_end);
-  std::memcpy(bytes->data() + dir_end, &sum, sizeof(sum));
-}
-
-size_t FindEntryIndex(const std::string& bytes, uint32_t tag) {
-  for (size_t i = 0; i < SectionCount(bytes); ++i) {
-    if (ReadEntry(bytes, i).tag == tag) return i;
-  }
-  ADD_FAILURE() << "section not found";
-  return 0;
 }
 
 class ArtifactV4Test : public ::testing::Test {
@@ -128,15 +69,26 @@ class ArtifactV4Test : public ::testing::Test {
     delete bench_;
   }
 
-  /// Loads `bytes` from a temp file under the given IDA_MMAP setting and
-  /// expects success.
-  static engine::Predictor MustLoad(const std::string& bytes,
-                                    const char* mmap_env) {
-    TempArtifact file(bytes);
-    ScopedEnv env(mmap_env);
-    auto served = engine::Predictor::LoadFromFile(file.path());
+  /// Loads `bytes` from a temp file and expects success.
+  static engine::Predictor MustLoad(const std::string& bytes) {
+    auto served = LoadBytes(bytes);
     EXPECT_TRUE(served.ok()) << served.status().ToString();
     return std::move(*served);
+  }
+
+  /// The in-memory (heap) serving handle of `model`.
+  static engine::Predictor InMemory(const engine::TrainedModel& model) {
+    auto served = engine::Predictor::Load(model);
+    EXPECT_TRUE(served.ok()) << served.status().ToString();
+    return std::move(*served);
+  }
+
+  /// `model_` with one config edit applied.
+  template <typename Edit>
+  static engine::TrainedModel Variant(Edit edit) {
+    ModelConfig config = model_->config();
+    edit(config);
+    return engine::TrainedModel(config, model_->samples(), model_->index());
   }
 
   /// Predictions over the shared query workload.
@@ -152,8 +104,8 @@ class ArtifactV4Test : public ::testing::Test {
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].label, b[i].label) << "query " << i;
-      // Bitwise, not approximate: the mapped and heap paths must run the
-      // exact same arithmetic.
+      // Bitwise, not approximate: the mapped and in-memory models must run
+      // the exact same arithmetic.
       EXPECT_EQ(std::memcmp(&a[i].confidence, &b[i].confidence,
                             sizeof(double)),
                 0)
@@ -172,11 +124,13 @@ std::vector<NContext>* ArtifactV4Test::queries_ = nullptr;
 
 TEST_F(ArtifactV4Test, SectionsTileTheFileInOrder) {
   const std::string bytes = model_->Serialize();
-  ASSERT_TRUE(v4::IsV4(reinterpret_cast<const uint8_t*>(bytes.data()),
-                       bytes.size()));
+  ASSERT_EQ(std::memcmp(bytes.data(), engine::kArtifactMagic, 8), 0);
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 8, sizeof(version));
+  EXPECT_EQ(version, engine::kArtifactVersion);
   const uint32_t count = SectionCount(bytes);
-  ASSERT_GE(count, 12u);  // CFG..LBLH always present
-  size_t cursor = kHeaderSize + count * sizeof(v4::SectionEntry) + 8;
+  ASSERT_GE(count, 11u);  // CFG..LBLH always present
+  size_t cursor = kArtifactHeaderSize + count * sizeof(v4::SectionEntry) + 8;
   for (uint32_t i = 0; i < count; ++i) {
     const v4::SectionEntry e = ReadEntry(bytes, i);
     EXPECT_EQ(e.offset % 8, 0u);
@@ -189,13 +143,13 @@ TEST_F(ArtifactV4Test, SectionsTileTheFileInOrder) {
 TEST_F(ArtifactV4Test, TruncatedSectionDirectoryRejected) {
   const std::string bytes = model_->Serialize();
   const size_t dir_end =
-      kHeaderSize + SectionCount(bytes) * sizeof(v4::SectionEntry) + 8;
+      kArtifactHeaderSize + SectionCount(bytes) * sizeof(v4::SectionEntry) + 8;
   // Every cut inside the header and directory, plus a spread beyond.
   for (size_t cut = 0; cut < dir_end; cut += 7) {
-    auto r = engine::TrainedModel::Deserialize(bytes.substr(0, cut));
+    auto r = LoadBytes(bytes.substr(0, cut));
     EXPECT_FALSE(r.ok()) << "cut at " << cut;
   }
-  auto r = engine::TrainedModel::Deserialize(bytes.substr(0, kHeaderSize + 8));
+  auto r = LoadBytes(bytes.substr(0, kArtifactHeaderSize + 8));
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("truncated"), std::string::npos)
       << r.status().ToString();
@@ -210,7 +164,7 @@ TEST_F(ArtifactV4Test, OverlappingSectionOffsetsRejected) {
   e.offset = ReadEntry(bytes, 1).offset;
   WriteEntry(&bytes, 2, e);
   FixDirectoryChecksum(&bytes);
-  auto r = engine::TrainedModel::Deserialize(bytes);
+  auto r = LoadBytes(bytes);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("tile"), std::string::npos)
       << r.status().ToString();
@@ -223,7 +177,7 @@ TEST_F(ArtifactV4Test, OutOfBoundsSectionLengthRejected) {
   e.length = bytes.size();  // runs past the end of the file
   WriteEntry(&bytes, last, e);
   FixDirectoryChecksum(&bytes);
-  auto r = engine::TrainedModel::Deserialize(bytes);
+  auto r = LoadBytes(bytes);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("out of bounds"), std::string::npos)
       << r.status().ToString();
@@ -235,7 +189,7 @@ TEST_F(ArtifactV4Test, MisalignedSectionOffsetRejected) {
   e.offset += 4;
   WriteEntry(&bytes, 3, e);
   FixDirectoryChecksum(&bytes);
-  auto r = engine::TrainedModel::Deserialize(bytes);
+  auto r = LoadBytes(bytes);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("misaligned"), std::string::npos)
       << r.status().ToString();
@@ -248,7 +202,7 @@ TEST_F(ArtifactV4Test, DirectoryChecksumCoversEntryEdits) {
   v4::SectionEntry e = ReadEntry(bytes, 2);
   e.offset = ReadEntry(bytes, 1).offset;
   WriteEntry(&bytes, 2, e);
-  auto r = engine::TrainedModel::Deserialize(bytes);
+  auto r = LoadBytes(bytes);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("directory checksum"),
             std::string::npos)
@@ -258,22 +212,24 @@ TEST_F(ArtifactV4Test, DirectoryChecksumCoversEntryEdits) {
 TEST_F(ArtifactV4Test, TrailingBytesRejected) {
   std::string bytes = model_->Serialize();
   bytes.append(8, '\0');
-  auto r = engine::TrainedModel::Deserialize(bytes);
+  auto r = LoadBytes(bytes);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("trailing"), std::string::npos)
       << r.status().ToString();
 }
 
-TEST_F(ArtifactV4Test, HeapDeserializeVerifiesEverySectionChecksum) {
-  const std::string clean = model_->Serialize();
-  // Flip one byte in every section's payload in turn: the heap reader
+TEST_F(ArtifactV4Test, EagerLoadVerifiesEverySectionChecksum) {
+  const std::string clean =
+      Variant([](ModelConfig& c) { c.load.eager_checksums = true; })
+          .Serialize();
+  // Flip one byte in every section's payload in turn: the eager loader
   // must report a checksum mismatch each time.
   for (size_t i = 0; i < SectionCount(clean); ++i) {
     const v4::SectionEntry e = ReadEntry(clean, i);
     if (e.length == 0) continue;
     std::string bytes = clean;
     bytes[e.offset + e.length / 2] ^= 0x5A;
-    auto r = engine::TrainedModel::Deserialize(bytes);
+    auto r = LoadBytes(bytes);
     ASSERT_FALSE(r.ok()) << "section " << i;
     EXPECT_NE(r.status().message().find("checksum mismatch"),
               std::string::npos)
@@ -281,45 +237,34 @@ TEST_F(ArtifactV4Test, HeapDeserializeVerifiesEverySectionChecksum) {
   }
 }
 
-TEST_F(ArtifactV4Test, LazyMappedLoadServesDespiteHeapSectionCorruption) {
-  // The mapped path never reads the HEAP compatibility section, so under
-  // the default lazy checksum policy a corrupt HEAP byte goes unnoticed
-  // there — while the heap path (which always verifies) must reject it.
-  // This is the documented lazy trade: deferred integrity, same safety.
+TEST_F(ArtifactV4Test, LazyMappedLoadServesDespiteBulkSectionCorruption) {
+  // Under the default lazy checksum policy a corrupt bulk byte goes
+  // unnoticed at load. A flipped perfect-hash key is the benign case:
+  // lookups verify the stored key, so the flip only demotes one display
+  // to identity resolution, and predictions stay bitwise those of the
+  // in-memory model. This is the documented lazy trade: deferred
+  // integrity, same safety.
   std::string bytes = model_->Serialize();
-  const v4::SectionEntry heap =
-      ReadEntry(bytes, FindEntryIndex(bytes, v4::kTagHeap));
-  ASSERT_GT(heap.length, 0u);
-  bytes[heap.offset + heap.length / 2] ^= 0x5A;
+  const v4::SectionEntry keys =
+      ReadEntry(bytes, FindEntryIndex(bytes, v4::kTagPhfKeys));
+  ASSERT_GT(keys.length, 0u);
+  bytes[keys.offset + keys.length / 2] ^= 0x5A;
 
-  engine::Predictor mapped = MustLoad(bytes, "on");
-  ExpectBitwiseEqual(PredictAll(mapped),
-                     PredictAll(*engine::Predictor::Load(*model_)));
-
-  TempArtifact file(bytes);
-  ScopedEnv env("off");
-  auto heap_load = engine::Predictor::LoadFromFile(file.path());
-  ASSERT_FALSE(heap_load.ok());
-  EXPECT_NE(heap_load.status().message().find("checksum mismatch"),
-            std::string::npos)
-      << heap_load.status().ToString();
+  engine::Predictor mapped = MustLoad(bytes);
+  ExpectBitwiseEqual(PredictAll(mapped), PredictAll(InMemory(*model_)));
 }
 
 TEST_F(ArtifactV4Test, EagerChecksumPolicyCatchesCorruptionAtLoad) {
   // Same corruption, but the artifact carries eager_checksums=true: the
-  // mapped load itself must now fail.
-  ModelConfig eager_config = model_->config();
-  eager_config.load.eager_checksums = true;
-  engine::TrainedModel eager(eager_config, model_->samples(),
-                             model_->index());
-  std::string bytes = eager.Serialize();
-  const v4::SectionEntry heap =
-      ReadEntry(bytes, FindEntryIndex(bytes, v4::kTagHeap));
-  bytes[heap.offset + heap.length / 2] ^= 0x5A;
+  // load itself must now fail.
+  std::string bytes =
+      Variant([](ModelConfig& c) { c.load.eager_checksums = true; })
+          .Serialize();
+  const v4::SectionEntry keys =
+      ReadEntry(bytes, FindEntryIndex(bytes, v4::kTagPhfKeys));
+  bytes[keys.offset + keys.length / 2] ^= 0x5A;
 
-  TempArtifact file(bytes);
-  ScopedEnv env("on");
-  auto r = engine::Predictor::LoadFromFile(file.path());
+  auto r = LoadBytes(bytes);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("checksum mismatch"),
             std::string::npos)
@@ -332,100 +277,72 @@ TEST_F(ArtifactV4Test, PerfectHashValueOutOfRangeRejected) {
   // on the serving hot path, so the loader must bound them. The section
   // and directory checksums are recomputed — structure is what rejects.
   const size_t idx = FindEntryIndex(bytes, v4::kTagPhfValues);
-  v4::SectionEntry e = ReadEntry(bytes, idx);
+  const v4::SectionEntry e = ReadEntry(bytes, idx);
   ASSERT_GE(e.length, sizeof(uint32_t));
   const uint32_t huge = 0xFFFFFFFFu;
   std::memcpy(bytes.data() + e.offset, &huge, sizeof(huge));
-  e.checksum = binio::Fnv1a(bytes.data() + e.offset,
-                            (e.length + 7) & ~uint64_t{7});
-  WriteEntry(&bytes, idx, e);
-  FixDirectoryChecksum(&bytes);
+  FixSectionChecksum(&bytes, idx);
 
-  TempArtifact file(bytes);
-  ScopedEnv env("on");
-  auto r = engine::Predictor::LoadFromFile(file.path());
+  auto r = LoadBytes(bytes);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("perfect-hash value"),
             std::string::npos)
       << r.status().ToString();
 }
 
-TEST_F(ArtifactV4Test, V3ToV4RoundTripPreservesTheModel) {
-  // v3 -> heap model -> v4 must equal the direct v4 serialization, and a
-  // v4 round trip is canonical (Serialize . Deserialize == identity).
-  const std::string v3 = model_->Serialize(3);
-  auto from_v3 = engine::TrainedModel::Deserialize(v3);
-  ASSERT_TRUE(from_v3.ok()) << from_v3.status().ToString();
-  EXPECT_EQ(from_v3->Serialize(4), model_->Serialize(4));
-
-  const std::string v4_bytes = model_->Serialize(4);
-  auto from_v4 = engine::TrainedModel::Deserialize(v4_bytes);
-  ASSERT_TRUE(from_v4.ok()) << from_v4.status().ToString();
-  EXPECT_EQ(from_v4->Serialize(4), v4_bytes);
-  // And back down: the v3 writeback path is retained for rollback.
-  EXPECT_EQ(from_v4->Serialize(3), v3);
-}
-
+// "Heap" below is the in-memory model (Predictor::Load), whose classifier
+// builds its flat set on the heap from the training samples; the mapped
+// artifact must serve bitwise the same predictions in every mode.
 TEST_F(ArtifactV4Test, MappedAndHeapPredictionsBitwiseIdenticalIndexed) {
-  const std::string bytes = model_->Serialize();
-  engine::Predictor mapped = MustLoad(bytes, "on");
-  engine::Predictor heap = MustLoad(bytes, "off");
-  ExpectBitwiseEqual(PredictAll(mapped), PredictAll(heap));
+  engine::Predictor mapped = MustLoad(model_->Serialize());
+  engine::Predictor heap = InMemory(*model_);
+  ExpectBitwiseEqual(mapped.PredictBatch(*queries_),
+                     heap.PredictBatch(*queries_));
 }
 
 TEST_F(ArtifactV4Test, MappedAndHeapPredictionsBitwiseIdenticalBrute) {
-  ModelConfig brute_config = model_->config();
-  brute_config.use_index = false;
-  engine::TrainedModel brute(brute_config, model_->samples(),
-                             model_->index());
-  const std::string bytes = brute.Serialize();
-  engine::Predictor mapped = MustLoad(bytes, "on");
-  engine::Predictor heap = MustLoad(bytes, "off");
-  ExpectBitwiseEqual(PredictAll(mapped), PredictAll(heap));
+  const engine::TrainedModel brute =
+      Variant([](ModelConfig& c) { c.use_index = false; });
+  engine::Predictor mapped = MustLoad(brute.Serialize());
+  ExpectBitwiseEqual(PredictAll(mapped), PredictAll(InMemory(brute)));
 }
 
 TEST_F(ArtifactV4Test, MappedAndHeapPredictionsBitwiseIdenticalApprox) {
-  ModelConfig approx_config = model_->config();
-  approx_config.approx.enabled = true;
-  approx_config.approx.epsilon = 0.1;
-  engine::TrainedModel approx(approx_config, model_->samples(),
-                              model_->index());
-  const std::string bytes = approx.Serialize();
-  engine::Predictor mapped = MustLoad(bytes, "on");
-  engine::Predictor heap = MustLoad(bytes, "off");
-  ExpectBitwiseEqual(PredictAll(mapped), PredictAll(heap));
+  const engine::TrainedModel approx = Variant([](ModelConfig& c) {
+    c.approx.enabled = true;
+    c.approx.epsilon = 0.1;
+  });
+  engine::Predictor mapped = MustLoad(approx.Serialize());
+  ExpectBitwiseEqual(PredictAll(mapped), PredictAll(InMemory(approx)));
 }
 
 TEST_F(ArtifactV4Test, MappedPredictionsMatchInMemoryModel) {
   // The zero-copy path must reproduce the fit-time in-memory predictions
-  // bitwise, not just agree with the heap reload.
-  auto in_memory = engine::Predictor::Load(*model_);
-  ASSERT_TRUE(in_memory.ok());
-  engine::Predictor mapped = MustLoad(model_->Serialize(), "on");
-  ExpectBitwiseEqual(PredictAll(mapped), PredictAll(*in_memory));
+  // bitwise, one query at a time.
+  engine::Predictor mapped = MustLoad(model_->Serialize());
+  ExpectBitwiseEqual(PredictAll(mapped), PredictAll(InMemory(*model_)));
 }
 
 TEST_F(ArtifactV4Test, PeekConfigReadsTheArtifactConfig) {
-  const std::string bytes = model_->Serialize();
-  TempArtifact file(bytes);
+  const engine::TrainedModel eager =
+      Variant([](ModelConfig& c) { c.load.eager_checksums = true; });
+  TempArtifact file(eager.Serialize());
   auto mapped = MappedArtifact::Open(file.path());
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   auto config = v4::PeekConfig(*mapped);
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_EQ(config->n_context_size, model_->config().n_context_size);
   EXPECT_EQ(config->knn.k, model_->config().knn.k);
-  EXPECT_EQ(config->load.prefer_mmap, model_->config().load.prefer_mmap);
+  EXPECT_TRUE(config->load.eager_checksums);
   EXPECT_EQ(config->measures, model_->config().measures);
 }
 
 TEST_F(ArtifactV4Test, EmptyModelRoundTripsThroughV4) {
   engine::TrainedModel empty(TestConfig(), {});
   const std::string bytes = empty.Serialize();
-  auto loaded = engine::TrainedModel::Deserialize(bytes);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->empty());
-  EXPECT_EQ(loaded->Serialize(), bytes);
-  engine::Predictor mapped = MustLoad(bytes, "on");
+  EXPECT_EQ(empty.Serialize(), bytes);  // deterministic
+  engine::Predictor mapped = MustLoad(bytes);
+  EXPECT_EQ(mapped.train_size(), 0u);
   for (const NContext& q : *queries_) {
     EXPECT_FALSE(mapped.Predict(q).HasPrediction());
   }

@@ -1,22 +1,32 @@
-// Tests of the engine train/serve facade and the versioned model
-// artifact: Fit equivalence with the manual pipeline, bitwise-identical
-// predictions after a serialize/deserialize round trip, rejection of
-// truncated/corrupt/mismatched artifacts, and thread-safe serving.
+// Tests of the engine train/serve facade and the model artifact: Fit
+// equivalence with the manual pipeline, bitwise-identical predictions
+// after a save/load round trip, rejection of truncated/corrupt/mismatched
+// artifacts, atomic artifact replacement, and thread-safe serving.
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/binio.h"
+#include "artifact_test_util.h"
+#include "engine/artifact_v4.h"
+#include "eval/loocv.h"
 #include "synth/generator.h"
 
 namespace ida {
 namespace {
+
+using testing::FindEntryIndex;
+using testing::FixSectionChecksum;
+using testing::LoadBytes;
+using testing::ReadEntry;
+using testing::TempArtifact;
 
 ModelConfig TestConfig() {
   ModelConfig config = DefaultNormalizedConfig();
@@ -98,12 +108,17 @@ TEST_F(EngineTest, TrainReportIsFilled) {
 }
 
 TEST_F(EngineTest, RoundTripPreservesModel) {
-  std::string bytes = model_->Serialize();
-  auto loaded = engine::TrainedModel::Deserialize(bytes);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::string bytes = model_->Serialize();
+  // The format is canonical: serializing twice gives the same bytes.
+  EXPECT_EQ(model_->Serialize(), bytes);
+  TempArtifact file(bytes);
+  auto mapped = MappedArtifact::Open(file.path());
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  auto config = engine::v4::PeekConfig(*mapped);
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
 
   const ModelConfig& a = model_->config();
-  const ModelConfig& b = loaded->config();
+  const ModelConfig& b = *config;
   EXPECT_EQ(a.n_context_size, b.n_context_size);
   EXPECT_EQ(a.theta_interest, b.theta_interest);
   EXPECT_EQ(a.knn.k, b.knn.k);
@@ -114,28 +129,38 @@ TEST_F(EngineTest, RoundTripPreservesModel) {
   EXPECT_EQ(a.distance.display_weight, b.distance.display_weight);
   EXPECT_EQ(a.training.successful_only, b.training.successful_only);
 
-  ASSERT_EQ(loaded->size(), model_->size());
+  auto flat = engine::v4::LoadServing(
+      std::make_shared<const MappedArtifact>(std::move(*mapped)), b);
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  ASSERT_EQ(flat->meta.size(), model_->size());
+  ASSERT_EQ(flat->contexts.size(), model_->size());
   for (size_t i = 0; i < model_->size(); ++i) {
     const TrainingSample& s = model_->samples()[i];
-    const TrainingSample& t = loaded->samples()[i];
+    const TrainingSample& t = flat->meta[i];
     EXPECT_EQ(s.label, t.label);
     EXPECT_EQ(s.labels, t.labels);
     EXPECT_EQ(s.max_relative, t.max_relative);  // bitwise (raw IEEE bits)
     EXPECT_EQ(s.tree_index, t.tree_index);
     EXPECT_EQ(s.step, t.step);
-    EXPECT_EQ(s.context.Fingerprint(), t.context.Fingerprint());
+    const FlatContext want = SessionDistance::Prepare(s.context);
+    const FlatContext& got = flat->contexts[i];
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(got.keyroots, want.keyroots);
+    for (size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(got.post[j].leftmost, want.post[j].leftmost);
+      EXPECT_EQ(got.post[j].log_rows, want.post[j].log_rows);
+      EXPECT_TRUE(ContentEquals(got.post[j].display, want.post[j].display));
+      EXPECT_TRUE(*got.post[j].incoming == *want.post[j].incoming);
+    }
   }
-  // A second serialization of the loaded model is byte-identical: the
-  // format is canonical.
-  EXPECT_EQ(loaded->Serialize(), bytes);
+  ASSERT_NE(flat->index, nullptr);
+  EXPECT_EQ(flat->index->num_nodes(), model_->index()->num_nodes());
 }
 
 TEST_F(EngineTest, RoundTripPredictionsBitwiseIdentical) {
   auto in_memory = engine::Predictor::Load(*model_);
   ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
-  auto loaded_model = engine::TrainedModel::Deserialize(model_->Serialize());
-  ASSERT_TRUE(loaded_model.ok());
-  auto loaded = engine::Predictor::Load(std::move(*loaded_model));
+  auto loaded = LoadBytes(model_->Serialize());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   size_t answered = 0;
@@ -159,18 +184,35 @@ TEST_F(EngineTest, RoundTripPredictionsBitwiseIdentical) {
 }
 
 TEST_F(EngineTest, LoocvMetricsUnchangedAfterRoundTrip) {
-  auto loaded = engine::TrainedModel::Deserialize(model_->Serialize());
-  ASSERT_TRUE(loaded.ok());
+  // LOOCV over the loaded artifact's flat set, through the same
+  // classifier EvaluateLoocv builds in memory.
+  TempArtifact file(model_->Serialize());
+  auto mapped = MappedArtifact::Open(file.path());
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  auto config = engine::v4::PeekConfig(*mapped);
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  auto flat = engine::v4::LoadServing(
+      std::make_shared<const MappedArtifact>(std::move(*mapped)), *config);
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  const std::vector<TrainingSample> meta = flat->meta;
+  const IKnnClassifier loaded(std::move(*flat),
+                              SessionDistance(config->distance), config->knn,
+                              config->approx);
+  const int num_classes = static_cast<int>(config->measures.size());
+
   auto before = engine::EvaluateLoocv(*model_);
-  auto after = engine::EvaluateLoocv(*loaded);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(before->samples, after->samples);
-  EXPECT_EQ(before->knn.accuracy, after->knn.accuracy);
-  EXPECT_EQ(before->knn.coverage, after->knn.coverage);
-  EXPECT_EQ(before->knn.macro_f1, after->knn.macro_f1);
-  EXPECT_EQ(before->best_sm.accuracy, after->best_sm.accuracy);
-  EXPECT_EQ(before->random.accuracy, after->random.accuracy);
+  const EvalMetrics after_knn = EvaluateKnnLoocv(
+      loaded, num_classes, config->distance.num_threads, nullptr);
+  const std::vector<size_t> subset = AllIndices(meta.size());
+  EXPECT_EQ(before->samples, meta.size());
+  EXPECT_EQ(before->knn.accuracy, after_knn.accuracy);
+  EXPECT_EQ(before->knn.coverage, after_knn.coverage);
+  EXPECT_EQ(before->knn.macro_f1, after_knn.macro_f1);
+  EXPECT_EQ(before->best_sm.accuracy,
+            EvaluateBestSmLoocv(meta, subset, num_classes).accuracy);
+  EXPECT_EQ(before->random.accuracy,
+            EvaluateRandom(meta, subset, num_classes, 17).accuracy);
 }
 
 TEST_F(EngineTest, SaveThenLoadFromFileServes) {
@@ -199,6 +241,37 @@ TEST_F(EngineTest, LoadFromMissingFileIsIoError) {
   EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
 }
 
+TEST_F(EngineTest, SaveReplacesTheArtifactWithoutDisturbingMappedReaders) {
+  // A predictor serves its artifact in place off a file mapping, so a
+  // save over the same path must not rewrite the mapped inode: a smaller
+  // model saved there must leave the first predictor answering bitwise as
+  // before (an in-place rewrite changes the mapped bytes, and the pages
+  // past the new end of file fault).
+  TempArtifact file;
+  ASSERT_TRUE(model_->SaveToFile(file.path()).ok());
+  auto first = engine::Predictor::LoadFromFile(file.path());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  std::vector<Prediction> before;
+  for (const NContext& q : *queries_) before.push_back(first->Predict(q));
+
+  std::vector<TrainingSample> few(model_->samples().begin(),
+                                  model_->samples().begin() + 5);
+  engine::TrainedModel smaller(model_->config(), std::move(few));
+  ASSERT_TRUE(smaller.SaveToFile(file.path()).ok());
+  auto second = engine::Predictor::LoadFromFile(file.path());
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->train_size(), 5u);
+
+  EXPECT_EQ(first->train_size(), model_->size());
+  for (size_t i = 0; i < queries_->size(); ++i) {
+    const Prediction p = first->Predict((*queries_)[i]);
+    EXPECT_EQ(p.label, before[i].label);
+    EXPECT_EQ(std::memcmp(&p.confidence, &before[i].confidence,
+                          sizeof(double)),
+              0);
+  }
+}
+
 TEST_F(EngineTest, TruncatedArtifactsRejectedWithoutCrash) {
   std::string bytes = model_->Serialize();
   // Every short-header prefix plus a spread of longer truncation points.
@@ -209,19 +282,23 @@ TEST_F(EngineTest, TruncatedArtifactsRejectedWithoutCrash) {
   }
   cuts.push_back(bytes.size() - 1);
   for (size_t n : cuts) {
-    auto truncated =
-        engine::TrainedModel::Deserialize(bytes.substr(0, n));
+    auto truncated = LoadBytes(bytes.substr(0, n));
     EXPECT_FALSE(truncated.ok()) << "prefix of " << n << " bytes accepted";
   }
-  // Trailing garbage is also rejected (the checksum no longer matches).
-  auto extended = engine::TrainedModel::Deserialize(bytes + "xyz");
+  // Trailing garbage is also rejected (the sections no longer tile).
+  auto extended = LoadBytes(bytes + "xyz");
   EXPECT_FALSE(extended.ok());
 }
 
 TEST_F(EngineTest, CorruptPayloadFailsChecksum) {
-  std::string bytes = model_->Serialize();
+  // Under the eager checksum policy every section is verified at load.
+  ModelConfig eager = model_->config();
+  eager.load.eager_checksums = true;
+  std::string bytes =
+      engine::TrainedModel(eager, model_->samples(), model_->index())
+          .Serialize();
   bytes[bytes.size() / 2] ^= 0x5A;  // flip bits mid-payload
-  auto corrupt = engine::TrainedModel::Deserialize(bytes);
+  auto corrupt = LoadBytes(bytes);
   ASSERT_FALSE(corrupt.ok());
   EXPECT_NE(corrupt.status().message().find("checksum"), std::string::npos)
       << corrupt.status().ToString();
@@ -230,79 +307,42 @@ TEST_F(EngineTest, CorruptPayloadFailsChecksum) {
 TEST_F(EngineTest, BadMagicRejected) {
   std::string bytes = model_->Serialize();
   bytes[0] = 'X';
-  auto bad = engine::TrainedModel::Deserialize(bytes);
+  auto bad = LoadBytes(bytes);
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("magic"), std::string::npos);
 }
 
 TEST_F(EngineTest, FormatVersionMismatchRejected) {
-  std::string bytes = model_->Serialize();
-  // The version u32 sits right after the 8 magic bytes, outside the
-  // checksummed payload.
-  uint32_t future = engine::kArtifactVersion + 1;
-  std::memcpy(&bytes[8], &future, sizeof(future));
-  auto mismatched = engine::TrainedModel::Deserialize(bytes);
-  ASSERT_FALSE(mismatched.ok());
-  EXPECT_NE(mismatched.status().message().find(
-                "unsupported model artifact format version"),
-            std::string::npos)
-      << mismatched.status().ToString();
-}
-
-TEST_F(EngineTest, VersionOneArtifactLoadsAndServesBruteForce) {
-  // Rollback support: a version-1 artifact (no index section) must still
-  // load in this build and serve — via the brute-force scan — the exact
-  // predictions the indexed model produces.
-  ASSERT_NE(model_->index(), nullptr);
-  std::string v1 = model_->Serialize(1);
-  uint32_t stored_version = 0;
-  std::memcpy(&stored_version, &v1[8], sizeof(stored_version));
-  EXPECT_EQ(stored_version, 1u);
-  EXPECT_LT(v1.size(), model_->Serialize().size());  // index dropped
-  auto loaded = engine::TrainedModel::Deserialize(v1);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->index(), nullptr);
-  EXPECT_EQ(loaded->size(), model_->size());
-  // A loaded v1 model re-writes the identical v1 artifact.
-  EXPECT_EQ(loaded->Serialize(1), v1);
-  auto indexed = engine::Predictor::Load(*model_);
-  auto brute = engine::Predictor::Load(*loaded);
-  ASSERT_TRUE(indexed.ok());
-  ASSERT_TRUE(brute.ok());
-  for (const NContext& q : *queries_) {
-    Prediction a = indexed->Predict(q);
-    Prediction b = brute->Predict(q);
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.confidence, b.confidence);  // bitwise
+  // The version u32 sits right after the 8 magic bytes and is checked
+  // before anything else is interpreted: a future version, and a file in
+  // the previous (version-4) format, are both rejected by name.
+  for (uint32_t version : {engine::kArtifactVersion + 1, uint32_t{4}}) {
+    std::string bytes = model_->Serialize();
+    std::memcpy(&bytes[8], &version, sizeof(version));
+    auto mismatched = LoadBytes(bytes);
+    ASSERT_FALSE(mismatched.ok());
+    EXPECT_NE(mismatched.status().message().find(
+                  "unsupported model artifact format version " +
+                  std::to_string(version)),
+              std::string::npos)
+        << mismatched.status().ToString();
   }
 }
 
-TEST_F(EngineTest, OutOfRangeSerializeVersionsClampToSupportedRange) {
-  EXPECT_EQ(model_->Serialize(0), model_->Serialize(1));
-  EXPECT_EQ(model_->Serialize(99), model_->Serialize());
-}
-
 TEST_F(EngineTest, CorruptedIndexSectionRejectedWithValidChecksum) {
-  // Bypass the checksum (recompute it after the corruption) so the index
-  // section's own structural validation is what rejects the artifact.
-  // Hand-crafted against the version-3 monolithic layout (the v4 flat
-  // layout gets its own adversarial suite in artifact_v4_test.cpp).
+  // Re-seal the checksums after the corruption so the index's own
+  // structural validation (VpTree::WrapFlat) is what rejects the
+  // artifact: the root node's child link points back at itself.
   ASSERT_NE(model_->index(), nullptr);
-  std::string bytes = model_->Serialize(3);
-  const size_t blob_len = model_->index()->Serialize().size();
-  ASSERT_GT(blob_len, 16u);
-  const size_t blob_start = bytes.size() - sizeof(uint64_t) - blob_len;
-  // A hostile node count in the embedded VP-tree blob.
-  uint32_t huge = 0xFFFFFFFFu;
-  std::memcpy(&bytes[blob_start + 12], &huge, sizeof(huge));
-  const size_t payload_start = sizeof(engine::kArtifactMagic) +
-                               sizeof(uint32_t);
-  uint64_t checksum = binio::Fnv1a(
-      bytes.data() + payload_start,
-      bytes.size() - payload_start - sizeof(uint64_t));
-  std::memcpy(&bytes[bytes.size() - sizeof(uint64_t)], &checksum,
-              sizeof(checksum));
-  auto corrupt = engine::TrainedModel::Deserialize(bytes);
+  std::string bytes = model_->Serialize();
+  const size_t idx = FindEntryIndex(bytes, engine::v4::kTagTreeNodes);
+  const engine::v4::SectionEntry e = ReadEntry(bytes, idx);
+  ASSERT_GE(e.length, sizeof(index::FlatNode));
+  const int32_t self = 0;
+  std::memcpy(&bytes[e.offset + offsetof(index::FlatNode, inner)], &self,
+              sizeof(self));
+  FixSectionChecksum(&bytes, idx);
+  auto corrupt = LoadBytes(bytes);
   ASSERT_FALSE(corrupt.ok());
   EXPECT_NE(corrupt.status().message().find("index section corrupt"),
             std::string::npos)
@@ -310,9 +350,7 @@ TEST_F(EngineTest, CorruptedIndexSectionRejectedWithValidChecksum) {
 }
 
 TEST_F(EngineTest, ConcurrentPredictIsThreadSafe) {
-  auto loaded = engine::TrainedModel::Deserialize(model_->Serialize());
-  ASSERT_TRUE(loaded.ok());
-  auto served = engine::Predictor::Load(std::move(*loaded));
+  auto served = LoadBytes(model_->Serialize());
   ASSERT_TRUE(served.ok());
   std::vector<Prediction> expected;
   for (const NContext& q : *queries_) expected.push_back(served->Predict(q));
@@ -364,11 +402,9 @@ TEST_F(EngineTest, PredictorRejectsOutOfRangeLabels) {
 
 TEST_F(EngineTest, EmptyModelRoundTripsAndAbstains) {
   engine::TrainedModel empty(TestConfig(), {});
-  auto loaded = engine::TrainedModel::Deserialize(empty.Serialize());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->empty());
-  auto served = engine::Predictor::Load(std::move(*loaded));
-  ASSERT_TRUE(served.ok());
+  auto served = LoadBytes(empty.Serialize());
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->train_size(), 0u);
   Prediction p = served->Predict(queries_->front());
   EXPECT_FALSE(p.HasPrediction());
 }

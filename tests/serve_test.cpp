@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "artifact_test_util.h"
 #include "common/rng.h"
 #include "engine/engine.h"
 #include "synth/generator.h"
@@ -274,6 +275,45 @@ TEST_F(ServeTest, HotReloadEpochSemantics) {
   EXPECT_EQ(wide_p->label, wide_q.label);
   // ida-lint: allow(float-eq): bitwise equivalence is the contract
   EXPECT_EQ(wide_p->confidence, wide_q.confidence);
+}
+
+TEST_F(ServeTest, ReloadFromFileServesTheArtifactZeroCopy) {
+  // A successful file reload bumps the epoch by one, and the new epoch
+  // answers bitwise as a Predictor::LoadFromFile of the same file does.
+  testing::TempArtifact file;
+  ASSERT_TRUE(indexed_model_->SaveToFile(file.path()).ok());
+  serve::SessionManager manager(LoadPredictor(*brute_model_));
+  ASSERT_TRUE(manager.ReloadFromFile(file.path()).ok());
+  EXPECT_EQ(manager.epoch(), 2u);
+  EXPECT_TRUE(manager.predictor()->config().use_index);
+  auto oracle = engine::Predictor::LoadFromFile(file.path());
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  for (size_t i = 0; i < 4 && i < bench_->log.size(); ++i) {
+    ReplayAndCheck(manager, *oracle, bench_->log.records()[i],
+                   "s" + std::to_string(i));
+  }
+}
+
+TEST_F(ServeTest, ReloadFromFileVerifiesEverySectionChecksum) {
+  // One flipped byte in a bulk section, directory intact: the lazy cold
+  // load accepts it (a changed profile value changes a distance, not
+  // memory safety), but a hot reload verifies every section and must
+  // reject it, leaving the served epoch untouched.
+  std::string bytes = indexed_model_->Serialize();
+  const engine::v4::SectionEntry dbl = testing::ReadEntry(
+      bytes, testing::FindEntryIndex(bytes, engine::v4::kTagDblHeap));
+  ASSERT_GT(dbl.length, 0u);
+  bytes[dbl.offset + dbl.length / 2] ^= 0x5A;
+  testing::TempArtifact file(bytes);
+  EXPECT_TRUE(engine::Predictor::LoadFromFile(file.path()).ok());
+
+  serve::SessionManager manager(LoadPredictor(*brute_model_));
+  const Status reload = manager.ReloadFromFile(file.path());
+  ASSERT_FALSE(reload.ok());
+  EXPECT_NE(reload.message().find("checksum mismatch"), std::string::npos)
+      << reload.ToString();
+  EXPECT_EQ(manager.epoch(), 1u);
+  EXPECT_FALSE(manager.predictor()->config().use_index);
 }
 
 TEST_F(ServeTest, ServeMetricsAreRecorded) {

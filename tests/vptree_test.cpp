@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -175,22 +176,47 @@ TEST_F(VpTreeTest, SearchHonorsExclusion) {
   }
 }
 
+/// The tree's flat arrays, copied out (the model artifact's VPTN/VPTE
+/// section payloads).
+struct FlatArrays {
+  std::vector<index::FlatNode> nodes;
+  std::vector<index::VpEntry> entries;
+
+  explicit FlatArrays(const index::VpTree& tree)
+      : nodes(tree.nodes_data(), tree.nodes_data() + tree.num_nodes()),
+        entries(tree.entries_data(),
+                tree.entries_data() + tree.num_entries()) {}
+
+  Result<index::VpTree> Wrap(size_t num_samples, int leaf_size) const {
+    return index::VpTree::WrapFlat(nodes.data(), nodes.size(),
+                                   entries.data(), entries.size(),
+                                   num_samples, leaf_size);
+  }
+};
+
 TEST_F(VpTreeTest, BuildIsDeterministic) {
   SessionDistance metric = Metric();
   index::VpTree a = index::VpTree::Build(*prepared_, metric);
   index::VpTree b = index::VpTree::Build(*prepared_, metric);
-  EXPECT_EQ(a.Serialize(), b.Serialize());
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  ASSERT_EQ(a.num_entries(), b.num_entries());
+  EXPECT_EQ(std::memcmp(a.nodes_data(), b.nodes_data(),
+                        a.num_nodes() * sizeof(index::FlatNode)),
+            0);
+  EXPECT_EQ(std::memcmp(a.entries_data(), b.entries_data(),
+                        a.num_entries() * sizeof(index::VpEntry)),
+            0);
 }
 
 TEST_F(VpTreeTest, SerializeRoundTripsAndServesIdentically) {
   SessionDistance metric = Metric();
   index::VpTree tree = index::VpTree::Build(*prepared_, metric);
-  std::string blob = tree.Serialize();
-  auto loaded = index::VpTree::Deserialize(blob, prepared_->size());
+  const FlatArrays flat(tree);
+  auto loaded = flat.Wrap(prepared_->size(), tree.leaf_size());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->size(), tree.size());
   EXPECT_EQ(loaded->num_nodes(), tree.num_nodes());
-  EXPECT_EQ(loaded->Serialize(), blob);
+  EXPECT_EQ(loaded->nodes_data(), flat.nodes.data());  // wrapped, not copied
   TedWorkspace ws;
   std::vector<std::pair<double, size_t>> got, want;
   for (size_t q = 0; q < std::min<size_t>(prepared_->size(), 12); ++q) {
@@ -209,41 +235,55 @@ TEST_F(VpTreeTest, EmptyTreeIsServedAndRoundTrips) {
   std::vector<std::pair<double, size_t>> got = {{0.0, 0}};
   tree.Search((*prepared_)[0], {}, metric, 3, 1.0, -1, &ws, &got);
   EXPECT_TRUE(got.empty());
-  auto loaded = index::VpTree::Deserialize(tree.Serialize(), 0);
-  ASSERT_TRUE(loaded.ok());
+  auto loaded = FlatArrays(tree).Wrap(0, tree.leaf_size());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded->empty());
 }
 
 TEST_F(VpTreeTest, MalformedBlobsAreRejectedNotCrashedOn) {
   SessionDistance metric = Metric();
   index::VpTree tree = index::VpTree::Build(*prepared_, metric);
-  const std::string blob = tree.Serialize();
+  const FlatArrays clean(tree);
   const size_t n = prepared_->size();
+  const int leaf = tree.leaf_size();
+  ASSERT_GT(clean.nodes.size(), 2u);
+  ASSERT_FALSE(clean.entries.empty());
 
-  // Every truncation point fails cleanly.
-  for (size_t len = 0; len < blob.size(); len += 3) {
-    auto r = index::VpTree::Deserialize(blob.substr(0, len), n);
-    EXPECT_FALSE(r.ok()) << "truncation to " << len << " bytes accepted";
+  // Every truncation of either array fails cleanly.
+  for (size_t len = 0; len < clean.nodes.size(); ++len) {
+    FlatArrays bad = clean;
+    bad.nodes.resize(len);
+    EXPECT_FALSE(bad.Wrap(n, leaf).ok()) << "nodes truncated to " << len;
   }
-  // Trailing garbage is not silently ignored.
-  EXPECT_FALSE(index::VpTree::Deserialize(blob + "x", n).ok());
-  // Sample-count mismatch with the surrounding artifact.
-  EXPECT_FALSE(index::VpTree::Deserialize(blob, n + 1).ok());
-  EXPECT_FALSE(index::VpTree::Deserialize(blob, 0).ok());
-  // A hostile node count cannot trigger a huge allocation or a crash.
-  std::string bad = blob;
-  uint32_t huge = 0xFFFFFFFFu;
-  std::memcpy(bad.data() + 12, &huge, sizeof(huge));
-  EXPECT_FALSE(index::VpTree::Deserialize(bad, n).ok());
-  // A corrupted header sample count disagrees with the artifact's.
-  bad = blob;
-  uint64_t wrong = static_cast<uint64_t>(n) + 7;
-  std::memcpy(bad.data(), &wrong, sizeof(wrong));
-  EXPECT_FALSE(index::VpTree::Deserialize(bad, n).ok());
+  for (size_t len = 0; len < clean.entries.size(); ++len) {
+    FlatArrays bad = clean;
+    bad.entries.resize(len);
+    EXPECT_FALSE(bad.Wrap(n, leaf).ok()) << "entries truncated to " << len;
+  }
+  // Trailing entries are not silently ignored.
+  FlatArrays bad = clean;
+  bad.entries.push_back(index::VpEntry{});
+  EXPECT_FALSE(bad.Wrap(n, leaf).ok());
+  // Sample-count mismatch with the surrounding artifact, bad leaf size.
+  EXPECT_FALSE(clean.Wrap(n + 1, leaf).ok());
+  EXPECT_FALSE(clean.Wrap(0, leaf).ok());
+  EXPECT_FALSE(clean.Wrap(n, 0).ok());
+  // A hostile child link cannot send the search out of bounds.
+  bad = clean;
+  bad.nodes[0].inner = 0x7FFFFFFF;
+  EXPECT_FALSE(bad.Wrap(n, leaf).ok());
+  // A duplicated sample id and a non-finite cached distance.
+  bad = clean;
+  bad.entries[0].id = static_cast<uint32_t>(bad.nodes[0].pivot);
+  EXPECT_FALSE(bad.Wrap(n, leaf).ok());
+  bad = clean;
+  bad.entries[0].dist = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(bad.Wrap(n, leaf).ok());
   // Zeroing a chunk of the node table breaks id coverage / link validity.
-  bad = blob;
-  std::fill(bad.begin() + 16, bad.begin() + 56, '\0');
-  EXPECT_FALSE(index::VpTree::Deserialize(bad, n).ok());
+  bad = clean;
+  std::memset(static_cast<void*>(bad.nodes.data()), 0,
+              2 * sizeof(index::FlatNode));
+  EXPECT_FALSE(bad.Wrap(n, leaf).ok());
 }
 
 }  // namespace
