@@ -70,9 +70,9 @@ void BM_DistanceMatrix(benchmark::State& state) {
     contexts.push_back(contexts[contexts.size() % 30]);
   }
   contexts.resize(want);
-  SessionDistance metric;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildDistanceMatrix(contexts, metric));
+    // A fresh metric per build, as every caller builds.
+    benchmark::DoNotOptimize(BuildDistanceMatrix(contexts, SessionDistance()));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() *
                                                want * (want - 1) / 2));

@@ -1,6 +1,7 @@
 #include "distance/ted.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -14,6 +15,15 @@ namespace ida {
 using internal::ZhangShashaCompute;
 
 namespace {
+
+// Display-id-space tokens (FlatContext::pool): monotonic and
+// process-unique, so a token can never be impersonated by a later id
+// space the way a recycled address could. Token values never influence
+// distances — they only key memo epochs.
+uint64_t NextPoolToken() {
+  static std::atomic<uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 // Postorder flattening for Zhang–Shasha: resolves each context node to its
 // display / incoming-action storage and records the postorder position of
@@ -54,8 +64,7 @@ struct GroundTables {
 };
 
 GroundTables BuildGroundTables(const std::vector<FlatContext>& flat,
-                               const SessionDistance& metric,
-                               TedWorkspace* ws) {
+                               const SessionDistance& metric) {
   GroundTables g;
   // Intern displays by pointer, action syntaxes by serialized form, and
   // nodes by (display id, action id) combination.
@@ -94,17 +103,15 @@ GroundTables BuildGroundTables(const std::vector<FlatContext>& flat,
     }
   }
 
-  // Pairwise ground tables over the interned uniques. Display distances
-  // flow through the metric's shared cache, so repeated builds against
-  // the same metric skip the expensive recomputation; both tables keep
-  // (row, column) orientation because the action syntax metric's greedy
-  // predicate matching is not guaranteed symmetric.
+  // Pairwise ground tables over the interned uniques: each display pair is
+  // computed once (the display metric is symmetric bitwise), while the
+  // action table keeps (row, column) orientation because the action syntax
+  // metric's greedy predicate matching is not guaranteed symmetric.
   const size_t u = displays.size();
   std::vector<double> display_table(u * u, 0.0);
   for (size_t i = 0; i < u; ++i) {
     for (size_t j = i + 1; j < u; ++j) {
-      const double d =
-          metric.DisplayGroundDistance(displays[i], displays[j], ws);
+      const double d = DisplayContentDistance(displays[i], displays[j]);
       display_table[i * u + j] = d;
       display_table[j * u + i] = d;
     }
@@ -201,6 +208,12 @@ FlatContext SessionDistance::Prepare(const NContext& ctx) {
   return t;
 }
 
+uint64_t SessionDistance::BindPool(size_t pool_size) {
+  const uint64_t pool = NextPoolToken();
+  memo_ = std::make_shared<internal::PoolDisplayMemo>(pool, pool_size);
+  return pool;
+}
+
 void TedWorkspace::Reserve(size_t n, size_t m) {
   const bool grew = treedist_.size() < n * m ||
                     fd_.size() < (n + 1) * (m + 1) || alter_.size() < n * m ||
@@ -222,15 +235,7 @@ double SessionDistance::TreeEditDistance(const FlatContext& ta,
   IDA_OBS_TALLY(++ws->tally.ted_calls);
 
   // Memo epoch checks, between pairs only (never mid-pair). The L1 memo
-  // is only valid for the metric cache it was filled against and for one
-  // pool id space at a time; switching either resets the affected state.
-  if (ws->cache_owner_ != cache_.get()) {
-    ws->display_memo_.Clear();
-    ws->eph_ids_.clear();
-    ws->eph_inserts_ = 0;
-    ws->cache_owner_ = cache_.get();
-    ws->pool_owner_ = 0;
-  }
+  // holds one pool id space at a time; adopting another resets it.
   uint64_t pool = ta.pool != 0 ? ta.pool : tb.pool;
   if (ta.pool != 0 && tb.pool != 0 && ta.pool != tb.pool) pool = 0;
   if (pool != 0 && pool != ws->pool_owner_) {
@@ -277,6 +282,11 @@ double SessionDistance::TreeEditDistance(const FlatContext& ta,
                       : ws->EphemeralId(node.display.identity);
   }
 
+  // The bound memo serves pool pairs only when its space is the one the
+  // workspace resolved pool ids under.
+  internal::PoolDisplayMemo* shared =
+      memo_ != nullptr && memo_->pool() == ws->pool_owner_ ? memo_.get()
+                                                           : nullptr;
   const double dw = options_.display_weight;
   const FlatContext::Node* an = ta.post.data();
   const FlatContext::Node* bn = tb.post.data();
@@ -285,7 +295,7 @@ double SessionDistance::TreeEditDistance(const FlatContext& ta,
   return ZhangShashaCompute(
       ta, tb, options_.indel_cost, ws, [&](int pi, int pj) {
         const double dd = MemoDisplayDistance(an[pi].display, bn[pj].display,
-                                              aid[pi], bid[pj], ws);
+                                              aid[pi], bid[pj], shared, ws);
         const double da = ActionDistance(*an[pi].incoming, *bn[pj].incoming);
         return dw * dd + (1.0 - dw) * da;
       });
@@ -302,10 +312,9 @@ double SessionDistance::TreeEditDistance(const NContext& a,
   return TreeEditDistance(ta, tb, &ws);
 }
 
-double SessionDistance::MemoDisplayDistance(const DisplayView& a,
-                                            const DisplayView& b, uint32_t ia,
-                                            uint32_t ib,
-                                            TedWorkspace* ws) const {
+double SessionDistance::MemoDisplayDistance(
+    const DisplayView& a, const DisplayView& b, uint32_t ia, uint32_t ib,
+    internal::PoolDisplayMemo* shared, TedWorkspace* ws) const {
   // Equal resolved ids mean the same identity, or a query display the
   // classifier proved content-identical to this pool representative —
   // either way the ground distance is exactly 0 (DisplayContentDistance
@@ -319,49 +328,23 @@ double SessionDistance::MemoDisplayDistance(const DisplayView& a,
     IDA_OBS_TALLY(++ws->tally.display_l1_hits);
     return *hit;
   }
-  const double d = CachedDisplayDistance(a, b, ws);
-  ws->display_memo_.Insert(key, d);
+  // Ids below the ephemeral base are pool ids of the adopted space; a pair
+  // involving an ephemeral id stays in this workspace's L1.
   if (ia >= internal::kEphemeralIdBase || ib >= internal::kEphemeralIdBase) {
+    shared = nullptr;
     ++ws->eph_inserts_;
   }
-  return d;
-}
-
-double SessionDistance::CachedDisplayDistance(const DisplayView& a,
-                                              const DisplayView& b,
-                                              TedWorkspace* ws) const {
-  if (a.identity == b.identity) return 0.0;
-  const bool a_low = a.identity < b.identity;
-  const DisplayView& lo = a_low ? a : b;
-  const DisplayView& hi = a_low ? b : a;
-  const internal::DisplayPair key(lo.identity, hi.identity);
-  // Only pairs of displays declared stable (MarkStable) may touch the
-  // shared cache: its entries outlive any single query, so a key holding
-  // an ephemeral display would serve the old pair's distance to whatever
-  // allocation later recycles that address.
-  const bool shared_ok = stable_->count(key.first) > 0 &&
-                         stable_->count(key.second) > 0;
-  if (shared_ok) {
-    DisplayCacheShard& shard =
-        (*cache_)[internal::DisplayPairHash{}(key) % kCacheShards];
-    MutexLock lock(&shard.mu);
-    auto sit = shard.map.find(key);
-    if (sit != shard.map.end()) {
-      IDA_OBS_TALLY(++ws->tally.display_shared_hits);
-      return sit->second;
-    }
+  double d;
+  if (shared != nullptr && shared->Find(key, &d)) {
+    IDA_OBS_TALLY(++ws->tally.display_shared_hits);
+  } else {
+    IDA_OBS_TALLY(++ws->tally.display_computes);
+    // Either argument order gives the same bits (the metric is symmetric),
+    // so the value never depends on which side asked first.
+    d = DisplayContentDistance(a, b);
+    if (shared != nullptr) shared->Insert(key, d);
   }
-  IDA_OBS_TALLY(++ws->tally.display_computes);
-  // Compute outside the lock (a racing thread may duplicate the work but
-  // arrives at the identical value: the arguments are canonically
-  // ordered, so the result never depends on scheduling).
-  const double d = DisplayContentDistance(lo, hi);
-  if (shared_ok) {
-    DisplayCacheShard& shard =
-        (*cache_)[internal::DisplayPairHash{}(key) % kCacheShards];
-    MutexLock lock(&shard.mu);
-    shard.map.emplace(key, d);
-  }
+  ws->display_memo_.Insert(key, d);
   return d;
 }
 
@@ -382,15 +365,6 @@ double SessionDistance::Distance(const NContext& a, const NContext& b) const {
   const FlatContext tb = Prepare(b);
   const double ted = TreeEditDistance(ta, tb, &ws);
   return ted / (options_.indel_cost * static_cast<double>(total));
-}
-
-size_t SessionDistance::cache_size() const {
-  size_t total = 0;
-  for (DisplayCacheShard& shard : *cache_) {
-    MutexLock lock(&shard.mu);
-    total += shard.map.size();
-  }
-  return total;
 }
 
 void FlushTedTally(const TedTally& tally, const obs::ObsConfig& obs) {
@@ -444,12 +418,7 @@ std::vector<std::vector<double>> BuildDistanceMatrix(
   for (const NContext& c : contexts) {
     flat.push_back(SessionDistance::Prepare(c));
   }
-  // The matrix contract has always required the input contexts to outlive
-  // the pass; declaring their displays stable admits every pair to the
-  // shared cache, which the workers rely on for cross-worker memoization.
-  for (const FlatContext& f : flat) metric.MarkStable(f);
-  TedWorkspace prepare_ws;
-  const GroundTables tables = BuildGroundTables(flat, metric, &prepare_ws);
+  const GroundTables tables = BuildGroundTables(flat, metric);
 
   std::unique_ptr<ThreadPool> owned;
   if (pool == nullptr) {
@@ -507,7 +476,6 @@ std::vector<std::vector<double>> BuildDistanceMatrix(
     for (size_t w = 0; w < worker_seconds.size(); ++w) {
       if (worker_seconds[w] > 0.0) shard_hist->Observe(worker_seconds[w]);
     }
-    FlushTedTally(prepare_ws.tally, obs);
     for (const TedWorkspace& ws : scratch) FlushTedTally(ws.tally, obs);
   }
   return d;

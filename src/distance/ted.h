@@ -10,14 +10,19 @@
 // per-pair allocations. BuildDistanceMatrix parallelizes the upper
 // triangle over a thread pool; the output is bit-identical for every
 // thread count.
+//
+// Display ground distances are memoized by display id, never by address:
+// a per-workspace L1, and one memo per pool id space shared by every
+// workspace serving that space. No caller has to vouch for how long a
+// display lives.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -31,28 +36,6 @@ namespace ida {
 class ThreadPool;
 
 namespace internal {
-
-/// Display-pair cache key, ordered lo <= hi by address. Pointer keys are
-/// only sound while both displays are alive: a freed display's address can
-/// be recycled by a later allocation, and a surviving entry would then
-/// serve the OLD pair's distance for the new display (ABA). The shared
-/// cache therefore only admits pairs of displays explicitly declared
-/// stable (SessionDistance::MarkStable — guaranteed to outlive the
-/// metric); everything else lives in the per-workspace id-keyed L1 memo
-/// (IdPairMemo), whose keys are immune to address recycling.
-using DisplayPair = std::pair<const Display*, const Display*>;
-
-/// Hash for DisplayPair cache keys: golden-ratio mixing of the two
-/// pointers, matching the dense ground-table interning scheme.
-struct DisplayPairHash {
-  size_t operator()(const DisplayPair& p) const {
-    uint64_t h =
-        reinterpret_cast<uintptr_t>(p.first) * 0x9E3779B97F4A7C15ULL;
-    h ^= reinterpret_cast<uintptr_t>(p.second) + 0x9E3779B97F4A7C15ULL +
-         (h << 6) + (h >> 2);
-    return static_cast<size_t>(h);
-  }
-};
 
 /// Display ids at or above this value are workspace-scoped ephemeral ids
 /// (issued by TedWorkspace for displays outside the model's interned
@@ -144,6 +127,87 @@ class IdPairMemo {
   size_t count_ = 0;
 };
 
+/// The display-distance memo of one pool id space, shared by every
+/// workspace that serves that space: sessions, LOOCV workers and batch
+/// workers of one classifier fill and read it. Keys are the L1's packed
+/// pool-id pairs, so only pool x pool pairs live here (an ephemeral id
+/// means nothing outside its workspace). Pool ids are fixed for the
+/// lifetime of the id space and name content (a query display gets a
+/// pool id only when it is content-identical to that pool display), so
+/// an entry can never go stale. Values are a pure, symmetric function of
+/// content, so which racing worker inserts first never changes a result.
+///
+/// 16 shards, each an IdPairMemo under its own mutex. The capacity is the
+/// pool's pair count, P(P-1)/2, so every pair a workload meets is stored
+/// and no worker recomputes a pair another has already computed. The cap
+/// also holds for keys outside that space (a pool size passed too
+/// small): past it, misses are kept only in the asking workspace's L1.
+/// Memory grows with the pairs a workload meets, up to O(P^2), as each
+/// worker's L1 does: a 3-thread LOOCV over the paper-scale model
+/// (P = 1,633) stores 1.10M of its 1.33M pairs.
+class PoolDisplayMemo {
+ public:
+  PoolDisplayMemo(uint64_t pool, size_t pool_size)
+      : pool_(pool),
+        capacity_(pool_size < 2 ? 0 : pool_size * (pool_size - 1) / 2) {}
+
+  PoolDisplayMemo(const PoolDisplayMemo&) = delete;
+  PoolDisplayMemo& operator=(const PoolDisplayMemo&) = delete;
+
+  /// The id-space token this memo belongs to (FlatContext::pool).
+  uint64_t pool() const { return pool_; }
+
+  /// Copies the memoized value for `key` into `*value`; false when absent.
+  bool Find(uint64_t key, double* value) {
+    Shard& shard = ShardFor(key);
+    MutexLock lock(&shard.mu);
+    uint64_t probes = 0;  // L1-only figure (TedTally::display_memo_probes)
+    if (const double* hit = shard.memo.Find(key, &probes)) {
+      *value = *hit;
+      return true;
+    }
+    return false;
+  }
+
+  /// Admits `key` unless a racing worker already did or the memo is full.
+  void Insert(uint64_t key, double value) {
+    Shard& shard = ShardFor(key);
+    MutexLock lock(&shard.mu);
+    uint64_t probes = 0;
+    if (shard.memo.Find(key, &probes) != nullptr) return;
+    // Reserve a slot of the capacity; a racing insert on another shard
+    // can take the last one first.
+    if (size_.fetch_add(1, std::memory_order_relaxed) >= capacity_) {
+      size_.fetch_sub(1, std::memory_order_relaxed);
+      return;
+    }
+    shard.memo.Insert(key, value);
+  }
+
+  /// The most entries the memo ever holds: the pool's pair count.
+  size_t capacity() const { return capacity_; }
+
+ private:
+  static constexpr int kShardBits = 4;
+  static constexpr size_t kShards = size_t{1} << kShardBits;
+
+  struct Shard {
+    Mutex mu;
+    IdPairMemo memo IDA_GUARDED_BY(mu);
+  };
+
+  /// Fibonacci hashing: the top bits of key * 2^64/phi pick the shard.
+  Shard& ShardFor(uint64_t key) {
+    return shards_[static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >>
+                                       (64 - kShardBits))];
+  }
+
+  const uint64_t pool_;
+  const size_t capacity_;
+  std::atomic<size_t> size_{0};  ///< entries held across all shards
+  std::array<Shard, kShards> shards_;
+};
+
 }  // namespace internal
 
 /// Cost model for the session tree edit distance.
@@ -210,7 +274,8 @@ struct FlatContext {
   /// values belong to (0 = no pool: every display_id is -1). Tokens are
   /// drawn from a monotonic process-wide counter, never an address, so a
   /// recycled allocation can never impersonate a dead id space. The
-  /// workspace memo uses this to detect id-space switches (TedWorkspace).
+  /// workspace memo uses this to detect id-space switches (TedWorkspace),
+  /// and only contexts of a metric's bound space reach its shared memo.
   uint64_t pool = 0;
 
   size_t size() const { return post.size(); }
@@ -227,7 +292,7 @@ struct FlatContext {
 struct TedTally {
   uint64_t ted_calls = 0;            ///< Zhang–Shasha DP executions
   uint64_t display_l1_hits = 0;      ///< display pairs served by the L1 memo
-  uint64_t display_shared_hits = 0;  ///< ... by the shared sharded cache
+  uint64_t display_shared_hits = 0;  ///< ... by the pool's shared memo
   uint64_t display_computes = 0;     ///< ... computed from scratch
   uint64_t display_memo_lookups = 0;  ///< L1 memo Find calls
   uint64_t display_memo_probes = 0;   ///< slots examined across those Finds
@@ -255,7 +320,8 @@ struct TedTally {
 /// Reusable per-thread scratch for the compute phase: flat row-major
 /// tree-distance and forest-distance tables (grow-only, recycled across
 /// pairs) plus a lock-free L1 memo of display-pair distances in front of
-/// the metric's shared cache. Not thread-safe — one workspace per thread.
+/// the pool's shared memo (internal::PoolDisplayMemo). Not thread-safe —
+/// one workspace per thread.
 class TedWorkspace {
  public:
   /// Ensures capacity for an (n x m) tree table, an (n+1) x (m+1) forest
@@ -317,9 +383,10 @@ class TedWorkspace {
   /// otherwise), refilled at each TreeEditDistance entry.
   std::vector<uint32_t> aid_;
   std::vector<uint32_t> bid_;
-  /// L1 display-distance memo keyed by resolved id pairs. Valid only for
-  /// the metric cache identified by `cache_owner_` and the pool id space
-  /// identified by `pool_owner_`; switching either clears it.
+  /// L1 display-distance memo keyed by resolved id pairs. Values depend
+  /// only on display content, so the memo serves any metric; its pool ids
+  /// belong to the id space identified by `pool_owner_`, and adopting
+  /// another space clears it.
   internal::IdPairMemo display_memo_;
   /// Ephemeral identity->id assignments (see EphemeralId). Pointer keys
   /// are only sound while the displays live; InvalidateDisplayMemo drops
@@ -330,43 +397,32 @@ class TedWorkspace {
   /// clear: tells InvalidateDisplayMemo whether the memo holds anything
   /// beyond pool-pair entries.
   size_t eph_inserts_ = 0;
-  const void* cache_owner_ = nullptr;
   uint64_t pool_owner_ = 0;
 };
 
 /// Session distance metric over n-contexts.
 ///
-/// Instances memoize display-pair ground distances (displays are immutable
-/// and widely shared between overlapping n-contexts, and the display
-/// ground metric dominates the edit-distance cost). The shared cache is
-/// sharded with per-shard mutexes, so one instance may be used
-/// concurrently from many threads; copies share the same cache.
+/// Display ground distances dominate the edit-distance cost, and
+/// displays are widely shared between overlapping n-contexts, so they are
+/// memoized in two layers keyed by display ids: each workspace's L1, and
+/// behind it the memo of the pool id space this metric is bound to
+/// (BindPool), which every workspace serving that space shares. An
+/// unbound metric memoizes in the L1 only. One instance may be used
+/// concurrently from many threads; copies share the bound memo.
 class SessionDistance {
  public:
   explicit SessionDistance(SessionDistanceOptions options = {})
-      : options_(options),
-        cache_(std::make_shared<DisplayCache>()),
-        stable_(std::make_shared<std::unordered_set<const Display*>>()) {}
+      : options_(options) {}
 
-  /// Declares a display stable: the caller guarantees it outlives this
-  /// metric (and every copy sharing its cache). Only pairs of stable
-  /// displays are admitted to the shared cache — an entry for a display
-  /// whose address could be recycled would silently serve the old pair's
-  /// distance to a later allocation. Long-lived owners mark their
-  /// long-lived displays (the kNN classifier marks its training set;
-  /// BuildDistanceMatrix marks its inputs); ephemeral query displays are
-  /// never marked and are memoized per workspace instead. Marking is a
-  /// setup-phase operation: not thread-safe against concurrent Distance
-  /// calls on the same cache.
-  void MarkStable(const Display* d) const { stable_->insert(d); }
-  /// Marks every display of a flattened context stable (by identity; a
-  /// mapping-backed context's identities are its pool record addresses,
-  /// which live exactly as long as the mapping the caller holds).
-  void MarkStable(const FlatContext& ctx) const {
-    for (const FlatContext::Node& n : ctx.post) {
-      stable_->insert(n.display.identity);
-    }
-  }
+  /// Opens a fresh display-id space of `pool_size` pool ids (0 ..
+  /// pool_size - 1) and binds this metric, and copies made from it
+  /// afterwards, to a new shared memo for it. Returns the space's
+  /// process-unique token, which the id-space owner (the kNN classifier)
+  /// stamps on its contexts and resolved queries as FlatContext::pool.
+  /// Tokens come from a monotonic counter, never an address, so a later
+  /// space can never impersonate a dead one. Copies made earlier keep
+  /// their previous binding.
+  uint64_t BindPool(size_t pool_size);
 
   /// Prepare phase: flattens a context into postorder arrays. The result
   /// borrows storage from `ctx` (see FlatContext).
@@ -392,53 +448,22 @@ class SessionDistance {
 
   const SessionDistanceOptions& options() const { return options_; }
 
-  /// Memoized display ground distance (workspace L1 memo in front of the
-  /// shared sharded cache). Exposed so the matrix builder's serial table
-  /// precompute warms — and is served by — the same cache as the per-pair
-  /// path.
-  double DisplayGroundDistance(const DisplayView& a, const DisplayView& b,
-                               TedWorkspace* ws) const {
-    return CachedDisplayDistance(a, b, ws);
-  }
-
-  /// Number of memoized display pairs in the shared cache (introspection
-  /// for tests).
-  size_t cache_size() const;
-
  private:
-  struct DisplayCacheShard {
-    Mutex mu;
-    std::unordered_map<internal::DisplayPair, double,
-                       internal::DisplayPairHash>
-        map IDA_GUARDED_BY(mu);
-  };
-
-  static constexpr size_t kCacheShards = 16;
-  using DisplayCache = std::array<DisplayCacheShard, kCacheShards>;
-
-  /// Memoized display ground distance via the shared sharded cache (the
-  /// per-workspace L1 sits above this; see MemoDisplayDistance). Always
-  /// computed in canonical (lo, hi) identity order, so the value is
-  /// independent of call order and of thread scheduling.
-  double CachedDisplayDistance(const DisplayView& a, const DisplayView& b,
-                               TedWorkspace* ws) const;
-
-  /// Display ground distance through the workspace's id-keyed L1 memo:
-  /// equal resolved ids short-circuit to 0 (same identity or
-  /// content-identical pool representative), a memo hit is one probe
-  /// sequence, and a miss falls through to CachedDisplayDistance. `ia`
-  /// and `ib` are the resolved ids of `a` and `b` for the workspace's
-  /// current pool epoch.
+  /// Display ground distance through the memo layers: equal resolved ids
+  /// short-circuit to 0 (same identity or content-identical pool
+  /// representative), then the workspace's L1, then — for a pair of pool
+  /// ids when `shared` is the memo of the workspace's adopted pool — the
+  /// shared memo; a miss computes DisplayContentDistance. `ia` and `ib`
+  /// are the resolved ids of `a` and `b` for the workspace's current pool
+  /// epoch.
   double MemoDisplayDistance(const DisplayView& a, const DisplayView& b,
                              uint32_t ia, uint32_t ib,
+                             internal::PoolDisplayMemo* shared,
                              TedWorkspace* ws) const;
 
   SessionDistanceOptions options_;
-  /// Shared across copies (pure-function memo), sharded for concurrency.
-  std::shared_ptr<DisplayCache> cache_;
-  /// Displays declared to outlive the cache (see MarkStable); written
-  /// during setup, read lock-free on the hot path.
-  std::shared_ptr<std::unordered_set<const Display*>> stable_;
+  /// The bound pool's memo (null while unbound), shared across copies.
+  std::shared_ptr<internal::PoolDisplayMemo> memo_;
 };
 
 /// Pairwise distance matrix over a set of contexts (symmetric, zero
@@ -458,8 +483,9 @@ std::vector<std::vector<double>> BuildDistanceMatrix(
 
 /// Adds a tally delta onto the `ida.distance.*` counters of `obs`'s
 /// registry (ted.calls, display_cache.{l1_hits,shared_hits,computes},
-/// workspace.{grows,reuses}). No-op when `obs` has metrics off or the
-/// tally is all zeros. Thread-safe (counter adds are atomic).
+/// display_memo.{lookups,probes}, workspace.{grows,reuses}). No-op when
+/// `obs` has metrics off or the tally is all zeros. Thread-safe (counter
+/// adds are atomic).
 void FlushTedTally(const TedTally& tally, const obs::ObsConfig& obs);
 
 }  // namespace ida

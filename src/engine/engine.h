@@ -13,7 +13,7 @@
 // A loaded Predictor reproduces the in-memory model's predictions bitwise
 // (see engine/model.h for the artifact format). Predict/PredictBatch are
 // safe to call concurrently from many threads: the classifier is immutable
-// and its shared display cache is internally synchronized.
+// and its shared display-distance memo is internally synchronized.
 #pragma once
 
 #include <memory>
@@ -91,8 +91,8 @@ class Trainer {
 };
 
 /// The online phase: an immutable serving handle over a trained model.
-/// Cheap to copy (copies share the training set, display cache and metric
-/// handles); all prediction entry points are const and thread-safe.
+/// Cheap to copy (copies share the training set, display-distance memo and
+/// metric handles); all prediction entry points are const and thread-safe.
 ///
 /// Observability (`obs`, optional, resolved once at Load): when metrics
 /// are on, every prediction records the `ida.engine.predict.*` counters

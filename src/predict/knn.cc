@@ -1,7 +1,6 @@
 #include "predict/knn.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <string>
 
@@ -11,15 +10,6 @@
 namespace ida {
 
 namespace {
-
-// Display-id-space tokens (FlatContext::pool): monotonic and
-// process-unique, so a token can never be impersonated by a later
-// classifier the way a recycled address could. Token values never
-// influence predictions — they only key workspace memo epochs.
-uint64_t NextPoolToken() {
-  static std::atomic<uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 // The vote core, shared verbatim by every serving path (matrix-based
 // KnnVote, the brute-force scan, the indexed search): consumes a candidate
@@ -231,22 +221,18 @@ IKnnClassifier::IKnnClassifier(FlatTrainingSet flat, SessionDistance metric,
   if (flat.index != nullptr && flat.index->size() == train_->size()) {
     index_ = std::move(flat.index);
   }
-  // Per-classifier steps: the id-space token (the workspace display memo
-  // is keyed by these small stable pool ids instead of addresses, which
-  // lets it survive across queries; see TedWorkspace), the branchiness
-  // summary, and marking the pool displays cache-stable. Training
-  // displays live as long as the classifier (and so as long as the
-  // metric's shared cache); query displays are never marked — a query may
-  // be freed between predictions, and a cache entry surviving it would be
-  // served to whatever display later recycles the address.
-  pool_token_ = NextPoolToken();
+  // Per-classifier steps: open the display-id space (its token keys the
+  // display memos by small stable pool ids instead of addresses, and the
+  // metric's memo for it is shared by every workspace serving this
+  // classifier and its copies; see SessionDistance::BindPool), and the
+  // branchiness summary.
+  pool_token_ = metric_.BindPool(pool_views_.size());
   for (FlatContext& ctx : prepared_) {
     // num_leaves <= 1 (chain or empty): the structure bound for any pair
     // of such contexts is exactly the size bound (leaf and internal-node
     // count differences are both dominated by the size difference).
     if (ctx.num_leaves > 1) corpus_branched_ = true;
     ctx.pool = pool_token_;
-    metric_.MarkStable(ctx);
   }
 }
 

@@ -10,12 +10,13 @@
 // by a hash of the session id, so one session's lifecycle replays in
 // trace order on one worker while different sessions interleave freely —
 // the same concurrency shape a live deployment sees. Because sessions are
-// independent and the engine's shared display cache admits only stable
-// entries (DESIGN.md §14), the sequence of predictions is bitwise
-// identical across runs, worker counts and speed settings; only the
-// measured latencies vary. (With `ServeOptions::max_live_sessions` set,
-// cross-worker eviction timing can fail a session mid-replay, so run the
-// manager unbounded when asserting determinism.)
+// independent and the engine's shared display-distance memo holds values
+// of pure functions of display content (DESIGN.md §14), the sequence of
+// predictions is bitwise identical across runs, worker counts and speed
+// settings; only the measured latencies vary. (With
+// `ServeOptions::max_live_sessions` set, cross-worker eviction timing can
+// fail a session mid-replay, so run the manager unbounded when asserting
+// determinism.)
 //
 // SynthesizeTrace generates the checked-in fixture's shape: replayable
 // session scripts from a src/synth/ world, arrival times drawn from a

@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "actions/executor.h"
+#include "common/rng.h"
+#include "distance/ground.h"
 #include "distance/ted.h"
 #include "measures/measure.h"
 #include "offline/comparison.h"
+#include "offline/training.h"
+#include "predict/knn.h"
 #include "session/ncontext.h"
 #include "synth/agent.h"
 #include "synth/dataset.h"
@@ -131,27 +136,154 @@ TEST_P(SessionPropertyTest, DistanceCacheIsTransparent) {
   ActionExecutor exec;
   auto tree = agent.RunSession("s", "u", exec);
   ASSERT_TRUE(tree.ok());
-  std::vector<NContext> contexts;
+  std::vector<TrainingSample> train;
   for (int t = 0; t <= tree->num_steps(); ++t) {
-    contexts.push_back(ExtractNContext(*tree, t, 5));
+    TrainingSample s;
+    s.context = ExtractNContext(*tree, t, 5);
+    s.label = t % 3;
+    s.labels = {s.label};
+    train.push_back(std::move(s));
   }
-  SessionDistance warm;  // reused across pairs: cache fills up
-  // The shared cache only admits displays declared to outlive the metric.
-  for (const NContext& c : contexts) {
-    for (const auto& node : c.nodes()) warm.MarkStable(node.display.get());
+  KnnOptions knn;
+  knn.k = 3;
+  knn.distance_threshold = 1.0;  // admit every neighbor: confidence varies
+  // Reused across queries: its pool memo fills up. Each query runs on
+  // fresh scratch, so a pool pair an earlier query computed can only come
+  // back through the shared memo.
+  const IKnnClassifier warm(train, SessionDistance(), knn);
+  TedTally warm_tally;
+  for (size_t i = 0; i < train.size(); ++i) {
+    FlatContext q = SessionDistance::Prepare(train[i].context);
+    PredictScratch scratch;
+    PredictStats warm_stats;
+    const Prediction got = warm.PredictFlat(q, scratch, &warm_stats);
+    warm_tally.display_shared_hits += warm_stats.ted.display_shared_hits;
+    // Fresh classifier and metric: no memo reuse at all.
+    const IKnnClassifier cold(train, SessionDistance(), knn);
+    PredictStats cold_stats;
+    const Prediction want = cold.Predict(train[i].context, &cold_stats);
+    EXPECT_EQ(got.label, want.label) << "query " << i;
+    // ida-lint: allow(float-eq): the memo must not change a single bit
+    EXPECT_EQ(got.confidence, want.confidence) << "query " << i;
+    // ida-lint: allow(float-eq): the memo must not change a single bit
+    EXPECT_EQ(warm_stats.nearest_distance, cold_stats.nearest_distance);
   }
-  for (size_t i = 0; i < contexts.size(); ++i) {
-    for (size_t j = 0; j < contexts.size(); ++j) {
-      SessionDistance cold;  // fresh metric: no cache reuse
-      EXPECT_NEAR(warm.Distance(contexts[i], contexts[j]),
-                  cold.Distance(contexts[i], contexts[j]), 1e-12);
-    }
-  }
-  EXPECT_GT(warm.cache_size(), 0u);
+#if IDA_OBS_ENABLED
+  EXPECT_GT(warm_tally.display_shared_hits, 0u);
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SessionPropertyTest,
                          ::testing::Values(11, 22, 33));
+
+// ------------------------------------------------- display metric sweeps
+//
+// The display-distance memos (distance/ted.h) key a value by an unordered
+// pair of display ids and share it across workspaces, sessions and
+// workers: whichever side asked first, and whichever content-identical
+// display stood for a pool id, every later reader gets the same bits.
+// These sweeps pin the two facts that make this sound.
+
+/// Owned storage for a random display profile; `View` exposes it heap
+/// style (std::string labels), `FlatView` mapping style (one string heap
+/// plus offsets), so content-equal views can come from distinct storage.
+struct RandomProfile {
+  DisplayKind kind = DisplayKind::kRoot;
+  std::string column;
+  std::vector<std::string> labels;
+  std::vector<double> values;
+  uint64_t rows = 0;
+  std::string heap;
+  std::vector<LabelRef> refs;
+
+  DisplayView View() const {
+    DisplayView v;
+    v.kind = kind;
+    v.column = column;
+    v.num_labels = static_cast<uint32_t>(labels.size());
+    v.num_values = static_cast<uint32_t>(values.size());
+    v.num_rows = rows;
+    v.values = values.data();
+    v.owned_labels = labels.data();
+    return v;
+  }
+
+  DisplayView FlatView() {
+    heap.clear();
+    refs.clear();
+    for (const std::string& l : labels) {
+      refs.push_back({static_cast<uint32_t>(heap.size()),
+                      static_cast<uint32_t>(l.size())});
+      heap += l;
+    }
+    DisplayView v = View();
+    v.owned_labels = nullptr;
+    v.flat_labels = refs.data();
+    v.str_heap = heap.data();
+    return v;
+  }
+};
+
+/// Random profiles over a tiny label alphabet (so labels repeat within
+/// and across displays), with zero, negative and empty cases mixed in.
+RandomProfile MakeRandomProfile(Rng& rng) {
+  static const char* kLabels[] = {"", "a", "b", "ab", "tcp", "udp"};
+  static const char* kColumns[] = {"", "proto", "port"};
+  RandomProfile p;
+  p.kind = static_cast<DisplayKind>(rng.UniformInt(0, 2));
+  p.column = kColumns[rng.UniformInt(0, 2)];
+  p.rows = static_cast<uint64_t>(
+      rng.Bernoulli(0.2) ? 0 : rng.UniformInt(0, 5000));
+  const int64_t n = rng.Bernoulli(0.15) ? 0 : rng.UniformInt(1, 7);
+  for (int64_t i = 0; i < n; ++i) {
+    p.labels.push_back(kLabels[rng.UniformInt(0, 5)]);
+    const int64_t shape = rng.UniformInt(0, 4);
+    p.values.push_back(shape == 0   ? 0.0
+                       : shape == 1 ? -rng.UniformReal(0.0, 3.0)
+                                    : rng.UniformReal(0.0, 100.0));
+  }
+  return p;
+}
+
+TEST(DisplayMetricPropertyTest, ContentDistanceIsSymmetricBitwise) {
+  Rng rng(20190326);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const RandomProfile a = MakeRandomProfile(rng);
+    const RandomProfile b = MakeRandomProfile(rng);
+    const double ab = DisplayContentDistance(a.View(), b.View());
+    const double ba = DisplayContentDistance(b.View(), a.View());
+    // One shared memo entry serves both orders.
+    ASSERT_EQ(std::memcmp(&ab, &ba, sizeof(double)), 0)
+        << "trial " << trial << ": " << ab << " vs " << ba;
+  }
+}
+
+TEST(DisplayMetricPropertyTest, ContentEqualDisplaysMeasureAlike) {
+  Rng rng(7);
+  for (int trial = 0; trial < 2000; ++trial) {
+    RandomProfile a = MakeRandomProfile(rng);
+    RandomProfile a2 = a;  // same content, distinct storage
+    const RandomProfile c = MakeRandomProfile(rng);
+    const DisplayView va = a.View();
+    const DisplayView va2 = a2.FlatView();
+    ASSERT_TRUE(ContentEquals(va, va2));
+    for (const DisplayView& third : {c.View(), va}) {
+      const double d1 = DisplayContentDistance(va, third);
+      const double d2 = DisplayContentDistance(va2, third);
+      ASSERT_EQ(std::memcmp(&d1, &d2, sizeof(double)), 0)
+          << "trial " << trial << ": " << d1 << " vs " << d2;
+      const double r1 = DisplayContentDistance(third, va);
+      const double r2 = DisplayContentDistance(third, va2);
+      ASSERT_EQ(std::memcmp(&r1, &r2, sizeof(double)), 0)
+          << "trial " << trial << ": " << r1 << " vs " << r2;
+    }
+    // A display and its content twin are at distance exactly +0.0, the
+    // value the memo's equal-id shortcut returns without computing.
+    const double self = DisplayContentDistance(va, va2);
+    const double zero = 0.0;
+    ASSERT_EQ(std::memcmp(&self, &zero, sizeof(double)), 0) << self;
+  }
+}
 
 // ----------------------------------------------------- comparison sweeps
 
