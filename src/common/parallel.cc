@@ -1,5 +1,9 @@
 #include "common/parallel.h"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 
 namespace ida {
@@ -9,11 +13,58 @@ int HardwareConcurrency() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+std::vector<int> SpreadCpus(size_t count) {
+  std::vector<int> spread;
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (count == 0 || sched_getaffinity(0, sizeof(mask), &mask) != 0) {
+    return spread;
+  }
+  std::vector<int> allowed;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &mask)) allowed.push_back(cpu);
+  }
+  if (allowed.size() < count + 1) return spread;
+  const auto here =
+      std::find(allowed.begin(), allowed.end(), sched_getcpu());
+  const size_t first =
+      here == allowed.end()
+          ? 0
+          : static_cast<size_t>(here - allowed.begin()) + 1;
+  for (size_t i = 0; i < count; ++i) {
+    spread.push_back(allowed[(first + i) % allowed.size()]);
+  }
+#else
+  (void)count;
+#endif
+  return spread;
+}
+
+void BindCurrentThread(int cpu) {
+#if defined(__linux__)
+  if (cpu < 0 || cpu >= CPU_SETSIZE) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  // Best effort: a refused binding leaves the thread to the scheduler.
+  (void)sched_setaffinity(0, sizeof(one), &one);
+#else
+  (void)cpu;
+#endif
+}
+
 ThreadPool::ThreadPool(int num_threads) {
   int resolved = num_threads <= 0 ? HardwareConcurrency() : num_threads;
-  workers_.reserve(static_cast<size_t>(resolved - 1));
+  const size_t background = static_cast<size_t>(resolved - 1);
+  const std::vector<int> cpus = SpreadCpus(background);
+  workers_.reserve(background);
   for (int w = 1; w < resolved; ++w) {
-    workers_.emplace_back([this, w] { WorkerLoop(w); });
+    const int cpu = cpus.empty() ? -1 : cpus[static_cast<size_t>(w - 1)];
+    workers_.emplace_back([this, w, cpu] {
+      BindCurrentThread(cpu);
+      WorkerLoop(w);
+    });
   }
 }
 

@@ -24,10 +24,28 @@ namespace ida {
 /// permits 0 when the value is unknown).
 int HardwareConcurrency();
 
+/// CPUs for `count` threads the calling thread is about to start for one
+/// parallel phase: distinct CPUs of its affinity mask, taken in order after
+/// the CPU it runs on, so no two of them and the caller share one. Empty
+/// when the mask has fewer than count + 1 CPUs or cannot be read; the
+/// threads are then left to the scheduler.
+///
+/// Why bind at all: the kernel sometimes starts a phase's new threads on
+/// the caller's CPU and leaves them there while the other CPUs idle. A
+/// 3-thread LOOCV sweep of 0.25 s then ran on one CPU from its first chunk
+/// to its last (user time equal to wall time, 2.7x slower), in a share of
+/// runs that came and went with the host's load.
+std::vector<int> SpreadCpus(size_t count);
+
+/// Binds the calling thread to `cpu` for the rest of its life; a no-op
+/// for a negative `cpu` or where binding is unsupported.
+void BindCurrentThread(int cpu);
+
 /// Fixed-size fork-join pool. The constructing thread participates in
 /// every ParallelFor as worker 0, so a pool of size T keeps T - 1
-/// background threads. Pools are cheap enough to create per matrix build
-/// but are reusable across calls; ParallelFor itself allocates nothing.
+/// background threads, each bound to one of SpreadCpus(T - 1). Pools are
+/// cheap enough to create per matrix build but are reusable across calls;
+/// ParallelFor itself allocates nothing.
 ///
 /// Thread-safety: ParallelFor may only be issued from the thread that
 /// constructed the pool, one loop at a time (fork-join, not a task queue).

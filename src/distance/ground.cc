@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
+#include <numeric>
+#include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "stats/descriptive.h"
@@ -81,44 +81,71 @@ double ActionDistance(const std::optional<Action>& a,
   return ActionSyntaxDistance(*a, *b);
 }
 
-double DisplayContentDistance(const DisplayView& a, const DisplayView& b) {
+DisplayProfile MakeDisplayProfile(const DisplayView& v) {
+  DisplayProfile p;
+  p.kind = v.kind;
+  p.column = std::string(v.column);
+  p.log_rows = std::log2(static_cast<double>(v.num_rows) + 1.0);
+  const std::vector<double> prob =
+      NormalizedProbabilities(v.values, v.num_values);
+  const uint32_t n = std::min(v.num_labels, v.num_values);
+  // Positions sorted by label; the stable sort keeps equal labels in write
+  // order, so the last of each run is the write that wins.
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&v](uint32_t x, uint32_t y) {
+    return v.label(x) < v.label(y);
+  });
+  p.labels.reserve(n);
+  p.probs.reserve(n);
+  for (uint32_t k = 0; k < n; ++k) {
+    const uint32_t j = order[k];
+    if (k + 1 < n && v.label(order[k + 1]) == v.label(j)) continue;
+    p.labels.emplace_back(v.label(j));
+    p.probs.push_back(prob[j]);
+  }
+  p.entropy = ShannonEntropy(p.probs);
+  return p;
+}
+
+double DisplayContentDistance(const DisplayProfile& a,
+                              const DisplayProfile& b) {
   double d = 0.0;
   if (a.kind != b.kind) d += 0.2;
   if (a.column != b.column) d += 0.2;
 
-  // Label-aligned profile distributions; JSD in bits is bounded by 1.
-  // Keyed by string_view: lexicographic ordering matches the std::string
-  // map this replaced, so the alignment — and the arithmetic below — is
-  // bitwise-identical to the pre-view implementation.
-  std::map<std::string_view, std::pair<double, double>> aligned;
-  std::vector<double> prob_a = NormalizedProbabilities(a.values, a.num_values);
-  std::vector<double> prob_b = NormalizedProbabilities(b.values, b.num_values);
-  for (uint32_t j = 0; j < a.num_labels; ++j) {
-    aligned[a.label(j)].first = prob_a[j];
-  }
-  for (uint32_t j = 0; j < b.num_labels; ++j) {
-    aligned[b.label(j)].second = prob_b[j];
-  }
-  if (!aligned.empty()) {
-    std::vector<double> va, vb, mix;
-    va.reserve(aligned.size());
-    vb.reserve(aligned.size());
-    mix.reserve(aligned.size());
-    for (const auto& [label, pq] : aligned) {
-      va.push_back(pq.first);
-      vb.push_back(pq.second);
-      mix.push_back((pq.first + pq.second) / 2.0);
+  // Label-aligned profile distributions; JSD in bits is bounded by 1. The
+  // mixture runs over the union of labels in lexicographic order, a label
+  // absent from one side weighing 0 there. ShannonEntropy skips
+  // non-positive weights, so each side's entropy over the union is its
+  // precomputed entropy over its own labels, bit for bit.
+  if (!a.labels.empty() || !b.labels.empty()) {
+    // Grow-only scratch: this runs once per memo miss on the serving path.
+    thread_local std::vector<double> mix;
+    mix.clear();
+    const size_t na = a.labels.size();
+    const size_t nb = b.labels.size();
+    size_t i = 0;
+    size_t j = 0;
+    while (i < na || j < nb) {
+      const int c = i == na   ? 1
+                    : j == nb ? -1
+                              : a.labels[i].compare(b.labels[j]);
+      const double pa = c <= 0 ? a.probs[i++] : 0.0;
+      const double pb = c >= 0 ? b.probs[j++] : 0.0;
+      mix.push_back((pa + pb) / 2.0);
     }
-    double jsd = ShannonEntropy(mix) -
-                 (ShannonEntropy(va) + ShannonEntropy(vb)) / 2.0;
+    double jsd = ShannonEntropy(mix) - (a.entropy + b.entropy) / 2.0;
     d += 0.4 * std::clamp(jsd, 0.0, 1.0);
   }
 
-  double la = std::log2(static_cast<double>(a.num_rows) + 1.0);
-  double lb = std::log2(static_cast<double>(b.num_rows) + 1.0);
   constexpr double kSizeCap = 12.0;  // ~4k rows
-  d += 0.2 * std::min(std::fabs(la - lb), kSizeCap) / kSizeCap;
+  d += 0.2 * std::min(std::fabs(a.log_rows - b.log_rows), kSizeCap) / kSizeCap;
   return std::clamp(d, 0.0, 1.0);
+}
+
+double DisplayContentDistance(const DisplayView& a, const DisplayView& b) {
+  return DisplayContentDistance(MakeDisplayProfile(a), MakeDisplayProfile(b));
 }
 
 double DisplayContentDistance(const Display& a, const Display& b) {

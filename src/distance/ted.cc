@@ -48,7 +48,8 @@ int FlattenVisit(const NContext& ctx, int node, FlatContext* out) {
 // ------------------------------------------------------------------------
 // Population-level ground tables for BuildDistanceMatrix: unique displays
 // (by pointer) and action syntaxes (by serialized form) are interned into
-// dense ids, and their pairwise ground distances are precomputed serially.
+// dense ids (each display's profile built once, as it is interned), and
+// their pairwise ground distances are precomputed serially.
 // The parallel phase then reads the immutable tables — no hashing, no
 // locking, no allocation on the hot path.
 
@@ -71,7 +72,7 @@ GroundTables BuildGroundTables(const std::vector<FlatContext>& flat,
   std::unordered_map<const Display*, int> display_ids;
   std::unordered_map<std::string, int> action_ids;
   std::unordered_map<int64_t, int> node_ids;
-  std::vector<DisplayView> displays;
+  std::vector<DisplayProfile> profiles;  // display id -> its profile
   std::vector<const Action*> actions;
   std::vector<std::pair<int, int>> nodes;  // node id -> (display, action)
   g.node_id.resize(flat.size());
@@ -80,8 +81,8 @@ GroundTables BuildGroundTables(const std::vector<FlatContext>& flat,
     for (const FlatContext::Node& node : flat[c].post) {
       auto [dit, dnew] =
           display_ids.try_emplace(node.display.identity,
-                                  static_cast<int>(displays.size()));
-      if (dnew) displays.push_back(node.display);
+                                  static_cast<int>(profiles.size()));
+      if (dnew) profiles.push_back(MakeDisplayProfile(node.display));
       int aid = -1;  // -1 = no incoming action (context root)
       if (node.incoming->has_value()) {
         const Action& act = **node.incoming;
@@ -104,14 +105,15 @@ GroundTables BuildGroundTables(const std::vector<FlatContext>& flat,
   }
 
   // Pairwise ground tables over the interned uniques: each display pair is
-  // computed once (the display metric is symmetric bitwise), while the
-  // action table keeps (row, column) orientation because the action syntax
-  // metric's greedy predicate matching is not guaranteed symmetric.
-  const size_t u = displays.size();
+  // one merge of the two displays' profiles, computed once (the display
+  // metric is symmetric bitwise), while the action table keeps (row,
+  // column) orientation because the action syntax metric's greedy
+  // predicate matching is not guaranteed symmetric.
+  const size_t u = profiles.size();
   std::vector<double> display_table(u * u, 0.0);
   for (size_t i = 0; i < u; ++i) {
     for (size_t j = i + 1; j < u; ++j) {
-      const double d = DisplayContentDistance(displays[i], displays[j]);
+      const double d = DisplayContentDistance(profiles[i], profiles[j]);
       display_table[i * u + j] = d;
       display_table[j * u + i] = d;
     }
@@ -244,6 +246,7 @@ double SessionDistance::TreeEditDistance(const FlatContext& ta,
       // space (pool ids are only unique within one space). Adopting a
       // first pool over a memo holding only ephemeral keys is safe as-is.
       ws->display_memo_.Clear();
+      ws->profiles_.clear();
       ws->eph_inserts_ = 0;
     }
     ws->pool_owner_ = pool;
@@ -255,6 +258,7 @@ double SessionDistance::TreeEditDistance(const FlatContext& ta,
   if (ws->next_eph_ < internal::kEphemeralIdBase) {
     ws->display_memo_.Clear();
     ws->eph_ids_.clear();
+    ws->profiles_.clear();
     ws->eph_inserts_ = 0;
     ws->next_eph_ = internal::kEphemeralIdBase;
   }
@@ -329,20 +333,23 @@ double SessionDistance::MemoDisplayDistance(
     return *hit;
   }
   // Ids below the ephemeral base are pool ids of the adopted space; a pair
-  // involving an ephemeral id stays in this workspace's L1.
+  // involving an ephemeral id stays in this workspace's L1 (its pool side
+  // still takes its profile from the shared memo).
+  internal::PoolDisplayMemo* pair_memo = shared;
   if (ia >= internal::kEphemeralIdBase || ib >= internal::kEphemeralIdBase) {
-    shared = nullptr;
+    pair_memo = nullptr;
     ++ws->eph_inserts_;
   }
   double d;
-  if (shared != nullptr && shared->Find(key, &d)) {
+  if (pair_memo != nullptr && pair_memo->Find(key, &d)) {
     IDA_OBS_TALLY(++ws->tally.display_shared_hits);
   } else {
     IDA_OBS_TALLY(++ws->tally.display_computes);
     // Either argument order gives the same bits (the metric is symmetric),
     // so the value never depends on which side asked first.
-    d = DisplayContentDistance(a, b);
-    if (shared != nullptr) shared->Insert(key, d);
+    d = DisplayContentDistance(ws->Profile(ia, a, shared),
+                               ws->Profile(ib, b, shared));
+    if (pair_memo != nullptr) pair_memo->Insert(key, d);
   }
   ws->display_memo_.Insert(key, d);
   return d;

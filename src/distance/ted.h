@@ -14,7 +14,8 @@
 // Display ground distances are memoized by display id, never by address:
 // a per-workspace L1, and one memo per pool id space shared by every
 // workspace serving that space. No caller has to vouch for how long a
-// display lives.
+// display lives. Display profiles (distance/ground.h), the per-display
+// half of the ground metric, are kept under the same ids.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "distance/ground.h"
 #include "obs/obs.h"
 #include "session/ncontext.h"
 
@@ -145,14 +147,43 @@ class IdPairMemo {
 /// Memory grows with the pairs a workload meets, up to O(P^2), as each
 /// worker's L1 does: a 3-thread LOOCV over the paper-scale model
 /// (P = 1,633) stores 1.10M of its 1.33M pairs.
+///
+/// The memo also holds the space's display profiles (DisplayProfile), one
+/// slot per pool id, which every workspace reads to compute a pool
+/// display's side of a missed pair. A slot is filled on first use, not at
+/// load, and published with a compare-and-swap; a racing loser frees its
+/// copy. Either copy would do: a pool id names content, and a profile is a
+/// pure function of content.
 class PoolDisplayMemo {
  public:
   PoolDisplayMemo(uint64_t pool, size_t pool_size)
       : pool_(pool),
-        capacity_(pool_size < 2 ? 0 : pool_size * (pool_size - 1) / 2) {}
+        capacity_(pool_size < 2 ? 0 : pool_size * (pool_size - 1) / 2),
+        profile_slots_(pool_size) {}
+
+  ~PoolDisplayMemo() {
+    for (const auto& slot : profile_slots_) delete slot.load();
+  }
 
   PoolDisplayMemo(const PoolDisplayMemo&) = delete;
   PoolDisplayMemo& operator=(const PoolDisplayMemo&) = delete;
+
+  /// The profile of pool display `id`, built from `view` (any display
+  /// content-identical to it) on first use; nullptr when `id` lies outside
+  /// the pool. Thread-safe and lock-free.
+  const DisplayProfile* Profile(uint32_t id, const DisplayView& view) {
+    if (id >= profile_slots_.size()) return nullptr;
+    std::atomic<const DisplayProfile*>& slot = profile_slots_[id];
+    const DisplayProfile* p = slot.load(std::memory_order_acquire);
+    if (p != nullptr) return p;
+    const DisplayProfile* built = new DisplayProfile(MakeDisplayProfile(view));
+    if (slot.compare_exchange_strong(p, built, std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      return built;
+    }
+    delete built;  // a racing worker published first; `p` is its profile
+    return p;
+  }
 
   /// The id-space token this memo belongs to (FlatContext::pool).
   uint64_t pool() const { return pool_; }
@@ -206,6 +237,8 @@ class PoolDisplayMemo {
   const size_t capacity_;
   std::atomic<size_t> size_{0};  ///< entries held across all shards
   std::array<Shard, kShards> shards_;
+  /// One profile slot per pool id; null until first use.
+  std::vector<std::atomic<const DisplayProfile*>> profile_slots_;
 };
 
 }  // namespace internal
@@ -320,8 +353,11 @@ struct TedTally {
 /// Reusable per-thread scratch for the compute phase: flat row-major
 /// tree-distance and forest-distance tables (grow-only, recycled across
 /// pairs) plus a lock-free L1 memo of display-pair distances in front of
-/// the pool's shared memo (internal::PoolDisplayMemo). Not thread-safe —
-/// one workspace per thread.
+/// the pool's shared memo (internal::PoolDisplayMemo). A memo miss merges
+/// two display profiles (DisplayProfile): a pool display's comes from the
+/// bound pool memo, every other display's from this workspace's profile
+/// table, keyed by the same resolved id as the L1 and dropped with it (see
+/// InvalidateDisplayMemo). Not thread-safe — one workspace per thread.
 class TedWorkspace {
  public:
   /// Ensures capacity for an (n x m) tree table, an (n+1) x (m+1) forest
@@ -346,11 +382,14 @@ class TedWorkspace {
   /// go when it holds entries under ephemeral ids (stale ephemeral ids
   /// are never reissued, but their entries would pin memory forever).
   /// Pool-id-only contents survive — that retained reuse across queries
-  /// is the stateful-serving win. Caller-scoped scratch whose query
-  /// displays provably outlive it — a live session's PredictScratch
+  /// is the stateful-serving win. The profile table is always dropped:
+  /// it is keyed like the L1, and its pool-id entries (held only while no
+  /// pool memo is bound) are rebuilt on demand. Caller-scoped scratch whose
+  /// query displays provably outlive it — a live session's PredictScratch
   /// (serve/session_manager.h) — need not invalidate at all.
   void InvalidateDisplayMemo() {
     eph_ids_.clear();
+    profiles_.clear();
     if (eph_inserts_ > 0) {
       display_memo_.Clear();
       eph_inserts_ = 0;
@@ -369,6 +408,22 @@ class TedWorkspace {
     return it->second;
   }
 
+  /// The profile of the display resolved to `id`: from `shared` (the
+  /// bound memo of the adopted pool, or null) for a pool id it covers,
+  /// otherwise from this workspace's table, built from `view` on first
+  /// use.
+  const DisplayProfile& Profile(uint32_t id, const DisplayView& view,
+                                internal::PoolDisplayMemo* shared) {
+    if (shared != nullptr && id < internal::kEphemeralIdBase) {
+      if (const DisplayProfile* p = shared->Profile(id, view)) return *p;
+    }
+    auto it = profiles_.find(id);
+    if (it == profiles_.end()) {
+      it = profiles_.emplace(id, MakeDisplayProfile(view)).first;
+    }
+    return it->second;
+  }
+
   std::vector<double> treedist_;
   std::vector<double> fd_;
   /// Per-pair alter-cost table (n x m, row-major): the DP consults
@@ -378,6 +433,13 @@ class TedWorkspace {
   std::vector<double> alter_;
   /// Contiguous copy of tb's leftmost-leaf positions (length m).
   std::vector<int32_t> bleft_;
+  /// Profiles of the displays this workspace resolved to ephemeral ids,
+  /// and of pool displays when no pool memo of the adopted space is
+  /// bound, keyed by resolved id. Node-based, so a reference handed out
+  /// survives later insertions. Dropped whenever the ids may change
+  /// meaning: InvalidateDisplayMemo, adopting another pool, and the
+  /// ephemeral-id wrap.
+  std::unordered_map<uint32_t, DisplayProfile> profiles_;
   /// Per-pair resolved display ids for the two contexts (pool ids where
   /// the context belongs to the workspace's adopted pool, ephemeral ids
   /// otherwise), refilled at each TreeEditDistance entry.
@@ -453,9 +515,9 @@ class SessionDistance {
   /// short-circuit to 0 (same identity or content-identical pool
   /// representative), then the workspace's L1, then — for a pair of pool
   /// ids when `shared` is the memo of the workspace's adopted pool — the
-  /// shared memo; a miss computes DisplayContentDistance. `ia` and `ib`
-  /// are the resolved ids of `a` and `b` for the workspace's current pool
-  /// epoch.
+  /// shared memo; a miss merges the two displays' profiles
+  /// (TedWorkspace::Profile). `ia` and `ib` are the resolved ids of `a`
+  /// and `b` for the workspace's current pool epoch.
   double MemoDisplayDistance(const DisplayView& a, const DisplayView& b,
                              uint32_t ia, uint32_t ib,
                              internal::PoolDisplayMemo* shared,

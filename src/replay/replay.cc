@@ -8,6 +8,7 @@
 
 #include "actions/display.h"
 #include "actions/executor.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 
 namespace ida::replay {
@@ -141,11 +142,16 @@ Result<ReplayReport> ReplayTrace(serve::SessionManager& manager,
   }
   report.virtual_seconds = max_offset;
 
+  // Several workers get a CPU each (the calling thread only waits); one
+  // worker is left to the scheduler.
+  const std::vector<int> cpus =
+      workers > 1 ? SpreadCpus(workers) : std::vector<int>();
   const Clock::time_point start = Clock::now();
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&, w]() {
+      BindCurrentThread(cpus.empty() ? -1 : cpus[w]);
       for (size_t i : plan[w]) {
         const Clock::time_point target = start + FromSeconds(offsets[i]);
         if (offsets[i] > 0.0) std::this_thread::sleep_until(target);

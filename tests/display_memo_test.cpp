@@ -3,9 +3,11 @@
 // sessions and workers of one model share pool-pair distances, two id
 // spaces never see each other's entries, admission stops at the pool's
 // pair count, and none of it changes a single bit of any answer. The
+// memo's display profiles are published once per pool slot. The
 // cross-thread cases run under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -401,6 +403,59 @@ TEST(DisplayMemoCapacityTest, DistancesUnchangedPastTheCap) {
   EXPECT_EQ(ws.tally.display_shared_hits, cap);
   EXPECT_EQ(ws.tally.display_computes, pairs - cap);
 #endif
+}
+
+// Workers of one pool id space meet the same pool displays for the first
+// time at once: each profile slot is published once, every worker reads
+// that one profile, and it equals a profile built directly from the view.
+// A pool id outside the space has no slot.
+TEST(DisplayProfileTest, RacingWorkersShareOneProfilePerPoolSlot) {
+  const size_t pool_size = 64;
+  std::vector<std::shared_ptr<const Display>> displays;
+  for (size_t i = 0; i < pool_size; ++i) {
+    InterestProfile p;
+    p.column = "c" + std::to_string(i % 3);
+    for (size_t j = 0; j <= i % 7; ++j) {
+      p.labels.push_back("g" + std::to_string((i * 5 + j) % 11));
+      p.values.push_back(static_cast<double>(i + j + 1));
+    }
+    displays.push_back(std::make_shared<Display>(
+        DisplayKind::kAggregated, nullptr, std::move(p), 1000));
+  }
+  internal::PoolDisplayMemo memo(1, pool_size);
+  constexpr size_t kWorkers = 4;
+  std::vector<std::vector<const DisplayProfile*>> seen(
+      kWorkers, std::vector<const DisplayProfile*>(pool_size, nullptr));
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kWorkers; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (size_t id = 0; id < pool_size; ++id) {
+        seen[t][id] =
+            memo.Profile(static_cast<uint32_t>(id), displays[id]->View());
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+
+  for (size_t id = 0; id < pool_size; ++id) {
+    const DisplayProfile* got = seen[0][id];
+    ASSERT_NE(got, nullptr) << id;
+    for (size_t t = 1; t < kWorkers; ++t) EXPECT_EQ(seen[t][id], got) << id;
+    const DisplayProfile want = MakeDisplayProfile(displays[id]->View());
+    EXPECT_EQ(got->column, want.column);
+    EXPECT_EQ(got->labels, want.labels);
+    ASSERT_EQ(got->probs.size(), want.probs.size());
+    for (size_t k = 0; k < want.probs.size(); ++k) {
+      EXPECT_TRUE(SameBits(got->probs[k], want.probs[k])) << id;
+    }
+    EXPECT_TRUE(SameBits(got->entropy, want.entropy)) << id;
+  }
+  EXPECT_EQ(memo.Profile(static_cast<uint32_t>(pool_size),
+                         displays[0]->View()),
+            nullptr);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "actions/executor.h"
 #include "test_util.h"
 
@@ -104,6 +108,35 @@ TEST(DisplayContentDistanceTest, SizeDifferenceRegisters) {
   auto large = testing::MakeProfileDisplay({1.0, 1.0}, DisplayKind::kRaw,
                                            1000, 2000);
   EXPECT_GT(DisplayContentDistance(*small, *large), 0.05);
+}
+
+// A heap Display may carry more labels than values (the artifact loader
+// rejects such records; the Display constructor does not). Labels and
+// values pair by position, so a label without a value takes no part in
+// the metric: the distance is bitwise that of the display cut to its
+// values. Under ASan this also pins that no value past the end is read.
+TEST(DisplayContentDistanceTest, LabelsWithoutValuesAreIgnored) {
+  InterestProfile p;
+  p.column = "col";
+  p.labels = {"d", "b", "c", "a"};
+  p.values = {3.0, 1.0};
+  const Display extra(DisplayKind::kAggregated, nullptr, p, 1000);
+  p.labels.resize(p.values.size());
+  const Display cut(DisplayKind::kAggregated, nullptr, p, 1000);
+
+  const DisplayProfile profile = MakeDisplayProfile(extra.View());
+  EXPECT_EQ(profile.labels, (std::vector<std::string>{"b", "d"}));
+  ASSERT_EQ(profile.probs.size(), 2u);
+  EXPECT_DOUBLE_EQ(profile.probs[0], 0.25);
+  EXPECT_DOUBLE_EQ(profile.probs[1], 0.75);
+
+  auto other = testing::MakeProfileDisplay({5.0, 10.0, 1.0});
+  for (const Display* x : {&extra, other.get()}) {
+    const double got = DisplayContentDistance(extra, *x);
+    const double want = DisplayContentDistance(cut, *x);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+        << got << " vs " << want;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,16 @@
 // Tests for the fork-join thread pool: exact index coverage (every index
 // visited exactly once regardless of thread count or chunk size), worker-id
-// bounds, pool reuse across dispatches, and the serial fast path.
+// bounds, pool reuse across dispatches, the serial fast path, and the
+// spreading of background workers over distinct CPUs.
 #include "common/parallel.h"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <atomic>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,6 +88,79 @@ TEST(ThreadPoolTest, SerialPoolRunsInline) {
   // Serial fast path dispatches the whole range as one chunk.
   EXPECT_EQ(calls, 1);
 }
+
+#if defined(__linux__)
+/// The CPUs the calling thread may run on.
+std::set<int> AllowedCpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  std::set<int> cpus;
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &mask)) cpus.insert(cpu);
+  }
+  return cpus;
+}
+
+TEST(SpreadCpusTest, DistinctCpusOfTheMaskOrNone) {
+  const std::set<int> allowed = AllowedCpus();
+  ASSERT_FALSE(allowed.empty());
+  EXPECT_TRUE(SpreadCpus(0).empty());
+  for (size_t count = 1; count <= allowed.size() + 1; ++count) {
+    const std::vector<int> spread = SpreadCpus(count);
+    if (count + 1 > allowed.size()) {
+      // No room to keep the caller's CPU free: left to the scheduler.
+      EXPECT_TRUE(spread.empty()) << "count=" << count;
+      continue;
+    }
+    ASSERT_EQ(spread.size(), count);
+    const std::set<int> distinct(spread.begin(), spread.end());
+    EXPECT_EQ(distinct.size(), count);
+    for (int cpu : spread) {
+      EXPECT_EQ(allowed.count(cpu), 1u) << cpu;
+    }
+  }
+}
+
+// Each background worker runs bound to its own CPU when the mask has room
+// for them and the caller; otherwise the workers keep the caller's mask.
+TEST(ThreadPoolTest, BackgroundWorkersRunOnDistinctCpus) {
+  const std::set<int> allowed = AllowedCpus();
+  const int threads = 3;
+  const bool spread = allowed.size() >= static_cast<size_t>(threads);
+  ThreadPool pool(threads);
+  std::vector<std::set<int>> masks(static_cast<size_t>(threads));
+  std::vector<std::atomic<int>> chunks(static_cast<size_t>(threads));
+  for (auto& c : chunks) c.store(0);
+  // Every chunk waits until each worker has run one, so all take part.
+  pool.ParallelFor(static_cast<size_t>(threads), 1,
+                   [&](size_t, size_t, int worker) {
+                     masks[static_cast<size_t>(worker)] = AllowedCpus();
+                     chunks[static_cast<size_t>(worker)].fetch_add(1);
+                     for (;;) {
+                       int ran = 0;
+                       for (auto& c : chunks) ran += c.load() > 0 ? 1 : 0;
+                       if (ran == threads) break;
+                       std::this_thread::yield();
+                     }
+                   });
+  std::set<int> bound;
+  for (int w = 1; w < threads; ++w) {
+    const std::set<int>& mask = masks[static_cast<size_t>(w)];
+    if (spread) {
+      ASSERT_EQ(mask.size(), 1u) << "worker " << w;
+      bound.insert(*mask.begin());
+    } else {
+      EXPECT_EQ(mask, allowed) << "worker " << w;
+    }
+  }
+  if (spread) {
+    EXPECT_EQ(bound.size(), static_cast<size_t>(threads - 1));
+  }
+  // The caller is never bound.
+  EXPECT_EQ(masks[0], allowed);
+}
+#endif
 
 }  // namespace
 }  // namespace ida

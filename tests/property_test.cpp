@@ -2,9 +2,14 @@
 // must hold for arbitrary generated data, actions and sessions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <set>
+#include <string_view>
+#include <utility>
 
 #include "actions/executor.h"
 #include "common/rng.h"
@@ -15,6 +20,7 @@
 #include "offline/training.h"
 #include "predict/knn.h"
 #include "session/ncontext.h"
+#include "stats/descriptive.h"
 #include "synth/agent.h"
 #include "synth/dataset.h"
 
@@ -282,6 +288,106 @@ TEST(DisplayMetricPropertyTest, ContentEqualDisplaysMeasureAlike) {
     const double self = DisplayContentDistance(va, va2);
     const double zero = 0.0;
     ASSERT_EQ(std::memcmp(&self, &zero, sizeof(double)), 0) << self;
+  }
+}
+
+/// The display metric as first written, kept as the oracle for the
+/// profile merge: a std::map over the union of both displays' labels
+/// (last write wins), then three entropies over the aligned vectors.
+/// Defined only for views with num_labels <= num_values.
+double OracleContentDistance(const DisplayView& a, const DisplayView& b) {
+  double d = 0.0;
+  if (a.kind != b.kind) d += 0.2;
+  if (a.column != b.column) d += 0.2;
+  std::map<std::string_view, std::pair<double, double>> aligned;
+  std::vector<double> prob_a = NormalizedProbabilities(a.values, a.num_values);
+  std::vector<double> prob_b = NormalizedProbabilities(b.values, b.num_values);
+  for (uint32_t j = 0; j < a.num_labels; ++j) {
+    aligned[a.label(j)].first = prob_a[j];
+  }
+  for (uint32_t j = 0; j < b.num_labels; ++j) {
+    aligned[b.label(j)].second = prob_b[j];
+  }
+  if (!aligned.empty()) {
+    std::vector<double> va, vb, mix;
+    for (const auto& [label, pq] : aligned) {
+      va.push_back(pq.first);
+      vb.push_back(pq.second);
+      mix.push_back((pq.first + pq.second) / 2.0);
+    }
+    double jsd = ShannonEntropy(mix) -
+                 (ShannonEntropy(va) + ShannonEntropy(vb)) / 2.0;
+    d += 0.4 * std::clamp(jsd, 0.0, 1.0);
+  }
+  double la = std::log2(static_cast<double>(a.num_rows) + 1.0);
+  double lb = std::log2(static_cast<double>(b.num_rows) + 1.0);
+  constexpr double kSizeCap = 12.0;
+  d += 0.2 * std::min(std::fabs(la - lb), kSizeCap) / kSizeCap;
+  return std::clamp(d, 0.0, 1.0);
+}
+
+/// MakeRandomProfile plus the inputs the metric must survive: NaN and
+/// +-inf values, labels that are prefixes of one another, and displays
+/// with no labels at all.
+RandomProfile MakeHostileProfile(Rng& rng) {
+  static const char* kPrefixLabels[] = {"t", "tc", "tcp", "tcp6", "a", "ab"};
+  RandomProfile p = MakeRandomProfile(rng);
+  if (rng.Bernoulli(0.15)) {
+    p.labels.clear();
+    p.values.clear();
+  }
+  for (size_t i = 0; i < p.labels.size(); ++i) {
+    if (rng.Bernoulli(0.4)) p.labels[i] = kPrefixLabels[rng.UniformInt(0, 5)];
+    const int64_t odd = rng.UniformInt(0, 9);
+    if (odd == 0) p.values[i] = std::numeric_limits<double>::quiet_NaN();
+    if (odd == 1) p.values[i] = std::numeric_limits<double>::infinity();
+    if (odd == 2) p.values[i] = -std::numeric_limits<double>::infinity();
+  }
+  return p;
+}
+
+bool SameProfile(const DisplayProfile& x, const DisplayProfile& y) {
+  auto same = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  if (x.kind != y.kind || x.column != y.column || x.labels != y.labels ||
+      x.probs.size() != y.probs.size() || !same(x.log_rows, y.log_rows) ||
+      !same(x.entropy, y.entropy)) {
+    return false;
+  }
+  for (size_t i = 0; i < x.probs.size(); ++i) {
+    if (!same(x.probs[i], y.probs[i])) return false;
+  }
+  return true;
+}
+
+TEST(DisplayMetricPropertyTest, DisplayProfileMergeMatchesOracleBitwise) {
+  Rng rng(20190326);
+  for (int trial = 0; trial < 4000; ++trial) {
+    RandomProfile a = MakeHostileProfile(rng);
+    RandomProfile b = MakeHostileProfile(rng);
+    const double want = OracleContentDistance(a.View(), b.View());
+    // Heap-backed (query) and flat-backed (pool) views of the same content
+    // build the same profile.
+    const DisplayProfile pa = MakeDisplayProfile(a.View());
+    const DisplayProfile pb = MakeDisplayProfile(b.View());
+    ASSERT_TRUE(SameProfile(pa, MakeDisplayProfile(a.FlatView())))
+        << "trial " << trial;
+    ASSERT_TRUE(SameProfile(pb, MakeDisplayProfile(b.FlatView())))
+        << "trial " << trial;
+    const double ab = DisplayContentDistance(pa, pb);
+    const double ba = DisplayContentDistance(pb, pa);
+    ASSERT_EQ(std::memcmp(&ab, &want, sizeof(double)), 0)
+        << "trial " << trial << ": " << ab << " vs oracle " << want;
+    ASSERT_EQ(std::memcmp(&ba, &ab, sizeof(double)), 0)
+        << "trial " << trial << ": " << ba << " vs " << ab;
+    for (const DisplayView& va : {a.View(), a.FlatView()}) {
+      for (const DisplayView& vb : {b.View(), b.FlatView()}) {
+        const double d = DisplayContentDistance(va, vb);
+        ASSERT_EQ(std::memcmp(&d, &want, sizeof(double)), 0)
+            << "trial " << trial << ": " << d << " vs oracle " << want;
+      }
+    }
   }
 }
 
