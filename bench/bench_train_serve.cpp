@@ -202,13 +202,13 @@ LoadProbe ProbeLoadInChild(const std::string& path, const NContext& query) {
   return probe;
 }
 
-/// Trains an indexed model of exactly `n` samples (the knn_index bench's
-/// population shape, so artifact sizes stay comparable across benches).
+/// Trains an indexed model of exactly `n` samples over 56 users and
+/// 1000-row datasets.
 engine::TrainedModel BuildLoadModel(size_t n) {
   GeneratorOptions options;
   options.num_users = 56;
   // ~3.9 samples survive per generated session; a third of the target
-  // gives ~1.3x headroom (see bench_knn_index.cpp).
+  // gives ~1.3x headroom.
   options.num_sessions = std::max<size_t>(600, n / 3);
   options.rows_per_dataset = 1000;
   options.seed = 4242;

@@ -1,9 +1,12 @@
 #include "distance/ted.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <new>
 #include <string>
 
 #include "common/parallel.h"
@@ -49,9 +52,9 @@ int FlattenVisit(const NContext& ctx, int node, FlatContext* out) {
 // Population-level ground tables for BuildDistanceMatrix: unique displays
 // (by pointer) and action syntaxes (by serialized form) are interned into
 // dense ids (each display's profile built once, as it is interned), and
-// their pairwise ground distances are precomputed serially.
-// The parallel phase then reads the immutable tables — no hashing, no
-// locking, no allocation on the hot path.
+// their pairwise display distances are precomputed row by row on the
+// build's thread pool. The DP phase then reads the immutable tables — no
+// hashing, no locking, no allocation on the hot path.
 
 constexpr size_t kMaxInternedNodes = 8192;
 
@@ -65,7 +68,8 @@ struct GroundTables {
 };
 
 GroundTables BuildGroundTables(const std::vector<FlatContext>& flat,
-                               const SessionDistance& metric) {
+                               const SessionDistance& metric,
+                               ThreadPool* pool) {
   GroundTables g;
   // Intern displays by pointer, action syntaxes by serialized form, and
   // nodes by (display id, action id) combination.
@@ -106,18 +110,20 @@ GroundTables BuildGroundTables(const std::vector<FlatContext>& flat,
 
   // Pairwise ground tables over the interned uniques: each display pair is
   // one merge of the two displays' profiles, computed once (the display
-  // metric is symmetric bitwise), while the action table keeps (row,
-  // column) orientation because the action syntax metric's greedy
-  // predicate matching is not guaranteed symmetric.
+  // metric is symmetric bitwise) by whichever worker owns row i, while the
+  // action table keeps (row, column) orientation because the action syntax
+  // metric's greedy predicate matching is not guaranteed symmetric.
   const size_t u = profiles.size();
   std::vector<double> display_table(u * u, 0.0);
-  for (size_t i = 0; i < u; ++i) {
-    for (size_t j = i + 1; j < u; ++j) {
-      const double d = DisplayContentDistance(profiles[i], profiles[j]);
-      display_table[i * u + j] = d;
-      display_table[j * u + i] = d;
+  pool->ParallelFor(u, /*chunk=*/4, [&](size_t begin, size_t end, int) {
+    for (size_t i = begin; i < end; ++i) {
+      for (size_t j = i + 1; j < u; ++j) {
+        const double d = DisplayContentDistance(profiles[i], profiles[j]);
+        display_table[i * u + j] = d;
+        display_table[j * u + i] = d;
+      }
     }
-  }
+  });
   const size_t v = actions.size();
   std::vector<double> action_table(v * v);
   for (size_t i = 0; i < v; ++i) {
@@ -210,6 +216,32 @@ FlatContext SessionDistance::Prepare(const NContext& ctx) {
   return t;
 }
 
+namespace internal {
+
+PoolDisplayMemo::PoolDisplayMemo(uint64_t pool, size_t pool_size)
+    : pool_(pool),
+      covered_(static_cast<uint32_t>(
+          std::min<size_t>(pool_size, kPoolTableIds))),
+      profile_slots_(pool_size) {
+  if (covered_ < 2) return;
+  // Not calloc, which clears a block the allocator recycles from its heap
+  // (16 MB at load for P = 2,000): a mapping's pages stay zero until used.
+  void* base = ::mmap(nullptr, Slot(0, covered_) * sizeof(uint64_t),
+                      PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                      -1, 0);
+  if (base == MAP_FAILED) throw std::bad_alloc();
+  pairs_ = static_cast<uint64_t*>(base);
+}
+
+PoolDisplayMemo::~PoolDisplayMemo() {
+  if (pairs_ != nullptr) {
+    ::munmap(pairs_, Slot(0, covered_) * sizeof(uint64_t));
+  }
+  for (const auto& slot : profile_slots_) delete slot.load();
+}
+
+}  // namespace internal
+
 uint64_t SessionDistance::BindPool(size_t pool_size) {
   const uint64_t pool = NextPoolToken();
   memo_ = std::make_shared<internal::PoolDisplayMemo>(pool, pool_size);
@@ -237,18 +269,12 @@ double SessionDistance::TreeEditDistance(const FlatContext& ta,
   IDA_OBS_TALLY(++ws->tally.ted_calls);
 
   // Memo epoch checks, between pairs only (never mid-pair). The L1 memo
-  // holds one pool id space at a time; adopting another resets it.
+  // holds one pool id space at a time (pool ids are only unique within
+  // one space); adopting another resets it.
   uint64_t pool = ta.pool != 0 ? ta.pool : tb.pool;
   if (ta.pool != 0 && tb.pool != 0 && ta.pool != tb.pool) pool = 0;
   if (pool != 0 && pool != ws->pool_owner_) {
-    if (ws->pool_owner_ != 0) {
-      // Adopting a different pool: drop entries keyed under the old id
-      // space (pool ids are only unique within one space). Adopting a
-      // first pool over a memo holding only ephemeral keys is safe as-is.
-      ws->display_memo_.Clear();
-      ws->profiles_.clear();
-      ws->eph_inserts_ = 0;
-    }
+    ws->InvalidateDisplayMemo();
     ws->pool_owner_ = pool;
   }
   // Ephemeral-id wrap guard: after 2^31 issuances the counter would
@@ -256,10 +282,7 @@ double SessionDistance::TreeEditDistance(const FlatContext& ta,
   // resolved ids are live. (A single pair can never wrap mid-resolution:
   // it issues at most one id per node.)
   if (ws->next_eph_ < internal::kEphemeralIdBase) {
-    ws->display_memo_.Clear();
-    ws->eph_ids_.clear();
-    ws->profiles_.clear();
-    ws->eph_inserts_ = 0;
+    ws->InvalidateDisplayMemo();
     ws->next_eph_ = internal::kEphemeralIdBase;
   }
 
@@ -324,34 +347,36 @@ double SessionDistance::MemoDisplayDistance(
   // either way the ground distance is exactly 0 (DisplayContentDistance
   // of content-equal views computes bitwise 0.0).
   if (ia == ib) return 0.0;
-  const uint64_t key = ia < ib ? (static_cast<uint64_t>(ia) << 32) | ib
-                               : (static_cast<uint64_t>(ib) << 32) | ia;
-  IDA_OBS_TALLY(++ws->tally.display_memo_lookups);
-  if (const double* hit =
-          ws->display_memo_.Find(key, &ws->tally.display_memo_probes)) {
-    IDA_OBS_TALLY(++ws->tally.display_l1_hits);
-    return *hit;
-  }
-  // Ids below the ephemeral base are pool ids of the adopted space; a pair
-  // involving an ephemeral id stays in this workspace's L1 (its pool side
-  // still takes its profile from the shared memo).
-  internal::PoolDisplayMemo* pair_memo = shared;
-  if (ia >= internal::kEphemeralIdBase || ib >= internal::kEphemeralIdBase) {
-    pair_memo = nullptr;
-    ++ws->eph_inserts_;
-  }
-  double d;
-  if (pair_memo != nullptr && pair_memo->Find(key, &d)) {
+  const uint32_t lo = std::min(ia, ib);
+  const uint32_t hi = std::max(ia, ib);
+  // Two ids below the covered bound are pool ids of the adopted space
+  // (ephemeral ids start far above it): the pair lives in the shared table
+  // only. Any other pair stays in this workspace's L1.
+  const bool pooled = shared != nullptr && hi < shared->covered();
+  const uint64_t key = (uint64_t{lo} << 32) | hi;
+  double d = 0.0;
+  if (pooled && shared->Find(lo, hi, &d)) {
     IDA_OBS_TALLY(++ws->tally.display_shared_hits);
-  } else {
-    IDA_OBS_TALLY(++ws->tally.display_computes);
-    // Either argument order gives the same bits (the metric is symmetric),
-    // so the value never depends on which side asked first.
-    d = DisplayContentDistance(ws->Profile(ia, a, shared),
-                               ws->Profile(ib, b, shared));
-    if (pair_memo != nullptr) pair_memo->Insert(key, d);
+    return d;
   }
-  ws->display_memo_.Insert(key, d);
+  if (!pooled) {
+    IDA_OBS_TALLY(++ws->tally.display_memo_lookups);
+    if (const double* hit =
+            ws->display_memo_.Find(key, &ws->tally.display_memo_probes)) {
+      IDA_OBS_TALLY(++ws->tally.display_l1_hits);
+      return *hit;
+    }
+  }
+  IDA_OBS_TALLY(++ws->tally.display_computes);
+  // Either argument order gives the same bits (the metric is symmetric),
+  // so the value never depends on which side asked first.
+  d = DisplayContentDistance(ws->Profile(ia, a, shared),
+                             ws->Profile(ib, b, shared));
+  if (pooled) {
+    shared->Store(lo, hi, d);
+  } else {
+    ws->display_memo_.Insert(key, d);
+  }
   return d;
 }
 
@@ -417,21 +442,21 @@ std::vector<std::vector<double>> BuildDistanceMatrix(
   std::vector<std::vector<double>> d(n, std::vector<double>(n, 0.0));
   if (n < 2) return d;
 
-  // Prepare phase: one flattening per context instead of one per pair,
-  // then the serial ground-table precompute (the parallel phase below
-  // reads the tables immutably).
-  std::vector<FlatContext> flat;
-  flat.reserve(n);
-  for (const NContext& c : contexts) {
-    flat.push_back(SessionDistance::Prepare(c));
-  }
-  const GroundTables tables = BuildGroundTables(flat, metric);
-
   std::unique_ptr<ThreadPool> owned;
   if (pool == nullptr) {
     owned = std::make_unique<ThreadPool>(metric.options().num_threads);
     pool = owned.get();
   }
+  // Prepare phase: one flattening per context instead of one per pair,
+  // then the ground-table precompute (the DP phase below reads the tables
+  // immutably).
+  std::vector<FlatContext> flat;
+  flat.reserve(n);
+  for (const NContext& c : contexts) {
+    flat.push_back(SessionDistance::Prepare(c));
+  }
+  const GroundTables tables = BuildGroundTables(flat, metric, pool);
+
   std::vector<TedWorkspace> scratch(static_cast<size_t>(pool->num_threads()));
   // Per-worker wall time for the `ida.distance.matrix.worker_seconds`
   // histogram: each slot is written only by its worker (the clock reads

@@ -11,24 +11,25 @@
 // triangle over a thread pool; the output is bit-identical for every
 // thread count.
 //
-// Display ground distances are memoized by display id, never by address:
-// a per-workspace L1, and one memo per pool id space shared by every
-// workspace serving that space. No caller has to vouch for how long a
-// display lives. Display profiles (distance/ground.h), the per-display
-// half of the ground metric, are kept under the same ids.
+// Display ground distances are memoized by display id, never by address.
+// A pair of pool ids lives in one lock-free triangular table per pool id
+// space, shared by every workspace serving that space; every other pair
+// (an ad-hoc display's ephemeral id, a pool id past the table's bound, or
+// an unbound metric) lives in a per-workspace L1. No caller has to vouch for how long a display lives.
+// Display profiles (distance/ground.h), the per-display half of the
+// ground metric, are kept under the same ids.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "distance/ground.h"
 #include "obs/obs.h"
 #include "session/ncontext.h"
@@ -47,16 +48,15 @@ namespace internal {
 constexpr uint32_t kEphemeralIdBase = 0x80000000u;
 
 /// Open-addressing (linear probe, power-of-two capacity, <= 50% load)
-/// memo from packed display-id pairs to ground distances: the DP consults
-/// one entry per alter cell, so probe cost sits directly on the serving
-/// hot path. Keys are (lo_id << 32) | hi_id with lo_id < hi_id — equal
-/// ids short-circuit to distance 0 before the memo — so the all-ones
-/// word can never be a real key and serves as the empty sentinel. Unlike
-/// a pointer-pair memo, id keys are immune to allocator address reuse
-/// (ABA): pool ids are fixed for the model's lifetime and ephemeral ids
-/// are issued monotonically and never recycled, which is what lets the
-/// memo persist across queries instead of being dropped per query.
-/// Values are a pure memo of a deterministic function, so the table never
+/// memo from packed display-id pairs to ground distances: the workspace L1
+/// for the pairs no pool table holds (see TedWorkspace). Keys are
+/// (lo_id << 32) | hi_id with lo_id < hi_id — equal ids short-circuit to
+/// distance 0 before the memo — so the all-ones word can never be a real
+/// key and serves as the empty sentinel. Unlike a pointer-pair memo, id
+/// keys are immune to allocator address reuse (ABA): pool ids are fixed
+/// for the model's lifetime and ephemeral ids are issued monotonically and
+/// never recycled, which is what lets the memo persist across queries
+/// instead of being dropped per query. Values are a pure memo of a deterministic function, so the table never
 /// influences results, only how often they are recomputed.
 class IdPairMemo {
  public:
@@ -92,11 +92,10 @@ class IdPairMemo {
 
   /// Forgets every entry but keeps the capacity.
   void Clear() {
+    if (count_ == 0) return;
     std::fill(keys_.begin(), keys_.end(), kEmpty);
     count_ = 0;
   }
-
-  size_t size() const { return count_; }
 
  private:
   /// splitmix64 finalizer: full-avalanche mixing of the packed id pair.
@@ -129,24 +128,26 @@ class IdPairMemo {
   size_t count_ = 0;
 };
 
+/// Pool ids below this bound have pair slots in their space's table
+/// (PoolDisplayMemo): at most 64 MiB of address space in an anonymous
+/// mapping, of which only the pages a workload touches become resident. A pair with an id at or past
+/// it is kept in the asking workspace's L1, as an ephemeral pair is.
+constexpr uint32_t kPoolTableIds = 4096;
+
 /// The display-distance memo of one pool id space, shared by every
 /// workspace that serves that space: sessions, LOOCV workers and batch
-/// workers of one classifier fill and read it. Keys are the L1's packed
-/// pool-id pairs, so only pool x pool pairs live here (an ephemeral id
-/// means nothing outside its workspace). Pool ids are fixed for the
-/// lifetime of the id space and name content (a query display gets a
-/// pool id only when it is content-identical to that pool display), so
-/// an entry can never go stale. Values are a pure, symmetric function of
-/// content, so which racing worker inserts first never changes a result.
+/// workers of one classifier fill and read it. Pool ids are fixed for the
+/// lifetime of the id space and name content (a query display gets a pool
+/// id only when it is content-identical to that pool display), so an entry
+/// can never go stale.
 ///
-/// 16 shards, each an IdPairMemo under its own mutex. The capacity is the
-/// pool's pair count, P(P-1)/2, so every pair a workload meets is stored
-/// and no worker recomputes a pair another has already computed. The cap
-/// also holds for keys outside that space (a pool size passed too
-/// small): past it, misses are kept only in the asking workspace's L1.
-/// Memory grows with the pairs a workload meets, up to O(P^2), as each
-/// worker's L1 does: a 3-thread LOOCV over the paper-scale model
-/// (P = 1,633) stores 1.10M of its 1.33M pairs.
+/// Pair distances live in one dense triangular array, a slot per pair
+/// lo < hi of the ids below covered() (10.7 MB at paper scale, P = 1,633),
+/// read and written through std::atomic_ref with relaxed order: no hashing,
+/// no locks. Racing writers store the same bits, because a value is a pure,
+/// symmetric function of content. Zero bits mean "absent", so a value is
+/// stored with its sign bit flipped: never zero for a distance (>= 0, or
+/// NaN); the one value that would be, -0.0, is simply never kept.
 ///
 /// The memo also holds the space's display profiles (DisplayProfile), one
 /// slot per pool id, which every workspace reads to compute a pool
@@ -156,14 +157,10 @@ class IdPairMemo {
 /// pure function of content.
 class PoolDisplayMemo {
  public:
-  PoolDisplayMemo(uint64_t pool, size_t pool_size)
-      : pool_(pool),
-        capacity_(pool_size < 2 ? 0 : pool_size * (pool_size - 1) / 2),
-        profile_slots_(pool_size) {}
-
-  ~PoolDisplayMemo() {
-    for (const auto& slot : profile_slots_) delete slot.load();
-  }
+  /// Maps the pair table; throws std::bad_alloc when that fails, as an
+  /// allocation would.
+  PoolDisplayMemo(uint64_t pool, size_t pool_size);
+  ~PoolDisplayMemo();
 
   PoolDisplayMemo(const PoolDisplayMemo&) = delete;
   PoolDisplayMemo& operator=(const PoolDisplayMemo&) = delete;
@@ -188,55 +185,39 @@ class PoolDisplayMemo {
   /// The id-space token this memo belongs to (FlatContext::pool).
   uint64_t pool() const { return pool_; }
 
-  /// Copies the memoized value for `key` into `*value`; false when absent.
-  bool Find(uint64_t key, double* value) {
-    Shard& shard = ShardFor(key);
-    MutexLock lock(&shard.mu);
-    uint64_t probes = 0;  // L1-only figure (TedTally::display_memo_probes)
-    if (const double* hit = shard.memo.Find(key, &probes)) {
-      *value = *hit;
-      return true;
-    }
-    return false;
+  /// Ids below this bound have pair slots: min(pool size, kPoolTableIds).
+  uint32_t covered() const { return covered_; }
+
+  /// Slot of the pair lo < hi, both below covered(). Slot(0, n) is the
+  /// slot count of the ids below n.
+  static size_t Slot(uint32_t lo, uint32_t hi) {
+    return size_t{hi} * (hi - 1) / 2 + lo;
   }
 
-  /// Admits `key` unless a racing worker already did or the memo is full.
-  void Insert(uint64_t key, double value) {
-    Shard& shard = ShardFor(key);
-    MutexLock lock(&shard.mu);
-    uint64_t probes = 0;
-    if (shard.memo.Find(key, &probes) != nullptr) return;
-    // Reserve a slot of the capacity; a racing insert on another shard
-    // can take the last one first.
-    if (size_.fetch_add(1, std::memory_order_relaxed) >= capacity_) {
-      size_.fetch_sub(1, std::memory_order_relaxed);
-      return;
-    }
-    shard.memo.Insert(key, value);
+  /// Copies the stored distance of pair lo < hi < covered() into `*value`;
+  /// false when absent. Thread-safe and lock-free.
+  bool Find(uint32_t lo, uint32_t hi, double* value) const {
+    const uint64_t bits = std::atomic_ref<uint64_t>(pairs_[Slot(lo, hi)])
+                              .load(std::memory_order_relaxed);
+    if (bits != 0) *value = std::bit_cast<double>(bits ^ kSignBit);
+    return bits != 0;
   }
 
-  /// The most entries the memo ever holds: the pool's pair count.
-  size_t capacity() const { return capacity_; }
+  /// Stores the distance of pair lo < hi < covered(). Thread-safe and
+  /// lock-free.
+  void Store(uint32_t lo, uint32_t hi, double value) {
+    std::atomic_ref<uint64_t>(pairs_[Slot(lo, hi)])
+        .store(std::bit_cast<uint64_t>(value) ^ kSignBit,
+               std::memory_order_relaxed);
+  }
 
  private:
-  static constexpr int kShardBits = 4;
-  static constexpr size_t kShards = size_t{1} << kShardBits;
-
-  struct Shard {
-    Mutex mu;
-    IdPairMemo memo IDA_GUARDED_BY(mu);
-  };
-
-  /// Fibonacci hashing: the top bits of key * 2^64/phi pick the shard.
-  Shard& ShardFor(uint64_t key) {
-    return shards_[static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >>
-                                       (64 - kShardBits))];
-  }
+  static constexpr uint64_t kSignBit = uint64_t{1} << 63;
 
   const uint64_t pool_;
-  const size_t capacity_;
-  std::atomic<size_t> size_{0};  ///< entries held across all shards
-  std::array<Shard, kShards> shards_;
+  const uint32_t covered_;
+  /// Slot(0, covered_) pair slots, zero until stored; null when none.
+  uint64_t* pairs_ = nullptr;
   /// One profile slot per pool id; null until first use.
   std::vector<std::atomic<const DisplayProfile*>> profile_slots_;
 };
@@ -352,8 +333,10 @@ struct TedTally {
 
 /// Reusable per-thread scratch for the compute phase: flat row-major
 /// tree-distance and forest-distance tables (grow-only, recycled across
-/// pairs) plus a lock-free L1 memo of display-pair distances in front of
-/// the pool's shared memo (internal::PoolDisplayMemo). A memo miss merges
+/// pairs) plus an L1 memo of the display-pair distances the pool's shared
+/// table (internal::PoolDisplayMemo) does not hold: pairs with an
+/// ephemeral id or a pool id past kPoolTableIds, and every pair of a
+/// metric bound to no pool or another pool. A memo miss merges
 /// two display profiles (DisplayProfile): a pool display's comes from the
 /// bound pool memo, every other display's from this workspace's profile
 /// table, keyed by the same resolved id as the L1 and dropped with it (see
@@ -378,22 +361,17 @@ class TedWorkspace {
   /// cannot vouch for (one-shot Predict's thread-local scratch: the
   /// previous query's displays may be freed and their addresses
   /// recycled). The ephemeral identity->id map holds raw pointers, so it
-  /// is always dropped; the id-keyed distance memo itself only needs to
-  /// go when it holds entries under ephemeral ids (stale ephemeral ids
-  /// are never reissued, but their entries would pin memory forever).
-  /// Pool-id-only contents survive — that retained reuse across queries
-  /// is the stateful-serving win. The profile table is always dropped:
-  /// it is keyed like the L1, and its pool-id entries (held only while no
-  /// pool memo is bound) are rebuilt on demand. Caller-scoped scratch whose
-  /// query displays provably outlive it — a live session's PredictScratch
-  /// (serve/session_manager.h) — need not invalidate at all.
+  /// is dropped, and with it the L1 and the profile table keyed like it
+  /// (stale ephemeral ids are never reissued, but their entries would pin
+  /// memory forever). Pool pairs of the bound table are not held here, so
+  /// their reuse across queries — the stateful-serving win — survives.
+  /// Caller-scoped scratch whose query displays provably outlive it — a
+  /// live session's PredictScratch (serve/session_manager.h) — need not
+  /// invalidate at all.
   void InvalidateDisplayMemo() {
     eph_ids_.clear();
     profiles_.clear();
-    if (eph_inserts_ > 0) {
-      display_memo_.Clear();
-      eph_inserts_ = 0;
-    }
+    display_memo_.Clear();
   }
 
  private:
@@ -409,14 +387,13 @@ class TedWorkspace {
   }
 
   /// The profile of the display resolved to `id`: from `shared` (the
-  /// bound memo of the adopted pool, or null) for a pool id it covers,
-  /// otherwise from this workspace's table, built from `view` on first
-  /// use.
+  /// bound memo of the adopted pool, or null) for a pool id in it (an
+  /// ephemeral id never is), otherwise from this workspace's table, built
+  /// from `view` on first use.
   const DisplayProfile& Profile(uint32_t id, const DisplayView& view,
                                 internal::PoolDisplayMemo* shared) {
-    if (shared != nullptr && id < internal::kEphemeralIdBase) {
-      if (const DisplayProfile* p = shared->Profile(id, view)) return *p;
-    }
+    const DisplayProfile* p = shared ? shared->Profile(id, view) : nullptr;
+    if (p != nullptr) return *p;
     auto it = profiles_.find(id);
     if (it == profiles_.end()) {
       it = profiles_.emplace(id, MakeDisplayProfile(view)).first;
@@ -436,29 +413,24 @@ class TedWorkspace {
   /// Profiles of the displays this workspace resolved to ephemeral ids,
   /// and of pool displays when no pool memo of the adopted space is
   /// bound, keyed by resolved id. Node-based, so a reference handed out
-  /// survives later insertions. Dropped whenever the ids may change
-  /// meaning: InvalidateDisplayMemo, adopting another pool, and the
-  /// ephemeral-id wrap.
+  /// survives later insertions. Dropped with the L1.
   std::unordered_map<uint32_t, DisplayProfile> profiles_;
   /// Per-pair resolved display ids for the two contexts (pool ids where
   /// the context belongs to the workspace's adopted pool, ephemeral ids
   /// otherwise), refilled at each TreeEditDistance entry.
   std::vector<uint32_t> aid_;
   std::vector<uint32_t> bid_;
-  /// L1 display-distance memo keyed by resolved id pairs. Values depend
-  /// only on display content, so the memo serves any metric; its pool ids
-  /// belong to the id space identified by `pool_owner_`, and adopting
-  /// another space clears it.
+  /// L1 display-distance memo keyed by resolved id pairs, for the pairs
+  /// the bound pool table does not hold. Values depend only on display
+  /// content, so the memo serves any metric. Its pool ids belong to the
+  /// space `pool_owner_`; InvalidateDisplayMemo drops it when the workspace
+  /// adopts another space, and at the ephemeral-id wrap.
   internal::IdPairMemo display_memo_;
   /// Ephemeral identity->id assignments (see EphemeralId). Pointer keys
   /// are only sound while the displays live; InvalidateDisplayMemo drops
   /// them.
   std::unordered_map<const Display*, uint32_t> eph_ids_;
   uint32_t next_eph_ = internal::kEphemeralIdBase;
-  /// Memo insertions whose key involves an ephemeral id since the last
-  /// clear: tells InvalidateDisplayMemo whether the memo holds anything
-  /// beyond pool-pair entries.
-  size_t eph_inserts_ = 0;
   uint64_t pool_owner_ = 0;
 };
 
@@ -466,9 +438,9 @@ class TedWorkspace {
 ///
 /// Display ground distances dominate the edit-distance cost, and
 /// displays are widely shared between overlapping n-contexts, so they are
-/// memoized in two layers keyed by display ids: each workspace's L1, and
-/// behind it the memo of the pool id space this metric is bound to
-/// (BindPool), which every workspace serving that space shares. An
+/// memoized by display id: a pair of pool ids in the table of the pool id
+/// space this metric is bound to (BindPool), which every workspace serving
+/// that space shares, and any other pair in the asking workspace's L1. An
 /// unbound metric memoizes in the L1 only. One instance may be used
 /// concurrently from many threads; copies share the bound memo.
 class SessionDistance {
@@ -511,11 +483,11 @@ class SessionDistance {
   const SessionDistanceOptions& options() const { return options_; }
 
  private:
-  /// Display ground distance through the memo layers: equal resolved ids
+  /// Display ground distance through the memos: equal resolved ids
   /// short-circuit to 0 (same identity or content-identical pool
-  /// representative), then the workspace's L1, then — for a pair of pool
-  /// ids when `shared` is the memo of the workspace's adopted pool — the
-  /// shared memo; a miss merges the two displays' profiles
+  /// representative); a pair of pool ids `shared` covers (the memo of the
+  /// workspace's adopted pool, or null) goes to its table only, any other
+  /// pair to the workspace's L1. A miss merges the two displays' profiles
   /// (TedWorkspace::Profile). `ia` and `ib` are the resolved ids of `a`
   /// and `b` for the workspace's current pool epoch.
   double MemoDisplayDistance(const DisplayView& a, const DisplayView& b,

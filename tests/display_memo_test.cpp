@@ -1,14 +1,17 @@
 // Tests of the display-distance memo of a pool id space
 // (internal::PoolDisplayMemo, bound by SessionDistance::BindPool): live
 // sessions and workers of one model share pool-pair distances, two id
-// spaces never see each other's entries, admission stops at the pool's
-// pair count, and none of it changes a single bit of any answer. The
+// spaces never see each other's entries, every pool pair has one slot of
+// the triangular table, ids past its covered bound fall back to the
+// workspace L1, and none of it changes a single bit of any answer. The
 // memo's display profiles are published once per pool slot. The
 // cross-thread cases run under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -194,6 +197,29 @@ TEST_F(DisplayMemoTest, WorkersShareOneMemoBitwise) {
 #endif
 }
 
+// Leave-one-out queries are training contexts, so every display resolves
+// to a pool id and every pair of them lives in the bound table: the
+// workspaces' L1s are never consulted.
+TEST_F(DisplayMemoTest, PoolResolvedContextsMakeNoL1Lookups) {
+  const ModelConfig& config = model_->config();
+  const IKnnClassifier classifier(
+      std::vector<TrainingSample>(model_->samples()),
+      SessionDistance(config.distance), config.knn, model_->index());
+  TedTally tally;
+  for (size_t i = 0; i < classifier.train().size(); ++i) {
+    PredictStats stats;
+    classifier.PredictLoo(i, &stats);
+    tally.display_memo_lookups += stats.ted.display_memo_lookups;
+    tally.display_l1_hits += stats.ted.display_l1_hits;
+    tally.display_computes += stats.ted.display_computes;
+  }
+  EXPECT_EQ(tally.display_memo_lookups, 0u);
+  EXPECT_EQ(tally.display_l1_hits, 0u);
+#if IDA_OBS_ENABLED
+  EXPECT_GT(tally.display_computes, 0u);
+#endif
+}
+
 // Two classifiers built from one SessionDistance object own separate id
 // spaces. B's training set is A's reversed, so equal pool ids name
 // different displays: had B read A's entries it would answer wrongly.
@@ -257,15 +283,16 @@ TEST_F(DisplayMemoTest, PoolsAreIsolated) {
 }
 
 // A synthetic pool of `chains * length` distinct two-label displays, laid
-// out as `chains` path-shaped contexts of `length` nodes each. Every
-// cross-context node pair is a distinct pool pair.
+// out as `chains` path-shaped contexts of `length` nodes each, with pool
+// ids `base` .. `base + chains * length - 1`. Every cross-context node
+// pair is a distinct pool pair.
 struct ChainPool {
   std::vector<std::vector<std::string>> labels;
   std::vector<std::vector<double>> values;
   std::vector<FlatContext> contexts;
   std::optional<Action> no_action;
 
-  ChainPool(size_t chains, size_t length) {
+  ChainPool(size_t chains, size_t length, size_t base = 0) {
     const size_t displays = chains * length;
     labels.resize(displays);
     values.resize(displays);
@@ -283,7 +310,7 @@ struct ChainPool {
         node.display.num_rows = id;
         node.display.owned_labels = labels[id].data();
         node.display.values = values[id].data();
-        node.display_id = static_cast<int32_t>(id);
+        node.display_id = static_cast<int32_t>(base + id);
         node.incoming = &no_action;
         node.leftmost = 0;  // a path: every node's leftmost leaf is node 0
       }
@@ -299,72 +326,67 @@ struct ChainPool {
   }
 };
 
+// Every pair lo < hi of a pool has its own slot, the slots are exactly
+// 0 .. P(P-1)/2 - 1, and a stored value reads back bitwise.
 TEST(DisplayMemoCapacityTest, CapacityIsThePoolPairCount) {
-  EXPECT_EQ(internal::PoolDisplayMemo(1, 0).capacity(), 0u);
-  EXPECT_EQ(internal::PoolDisplayMemo(1, 1).capacity(), 0u);
-  EXPECT_EQ(internal::PoolDisplayMemo(1, 2).capacity(), 1u);
-  EXPECT_EQ(internal::PoolDisplayMemo(1, 685).capacity(), 234270u);
-  EXPECT_EQ(internal::PoolDisplayMemo(1, 1633).capacity(), 1332528u);
+  EXPECT_EQ(internal::PoolDisplayMemo(1, 0).covered(), 0u);
+  EXPECT_EQ(internal::PoolDisplayMemo(1, 1633).covered(), 1633u);
+  EXPECT_EQ(internal::PoolDisplayMemo(1, 10000).covered(),
+            internal::kPoolTableIds);
+  EXPECT_EQ(internal::PoolDisplayMemo::Slot(0, 0), 0u);
+  EXPECT_EQ(internal::PoolDisplayMemo::Slot(0, 1), 0u);
+  EXPECT_EQ(internal::PoolDisplayMemo::Slot(0, 2), 1u);
+  EXPECT_EQ(internal::PoolDisplayMemo::Slot(0, 1633), 1332528u);
 
-  const size_t pool_size = 100;
+  const uint32_t pool_size = 100;
+  const size_t slots = internal::PoolDisplayMemo::Slot(0, pool_size);
+  ASSERT_EQ(slots, size_t{pool_size} * (pool_size - 1) / 2);
+  std::vector<int> owners(slots, 0);
+  for (uint32_t hi = 0; hi < pool_size; ++hi) {
+    for (uint32_t lo = 0; lo < hi; ++lo) {
+      const size_t slot = internal::PoolDisplayMemo::Slot(lo, hi);
+      ASSERT_LT(slot, slots) << lo << "," << hi;
+      ++owners[slot];
+    }
+  }
+  for (size_t slot = 0; slot < slots; ++slot) {
+    EXPECT_EQ(owners[slot], 1) << "slot " << slot;
+  }
+
   internal::PoolDisplayMemo memo(1, pool_size);
-  ASSERT_EQ(memo.capacity(), pool_size * (pool_size - 1) / 2);
-  // Every pair of the pool is admitted.
-  for (uint64_t lo = 0; lo < pool_size; ++lo) {
-    for (uint64_t hi = lo + 1; hi < pool_size; ++hi) {
-      memo.Insert((lo << 32) | hi, static_cast<double>(lo * pool_size + hi));
+  const auto value = [](uint32_t lo, uint32_t hi) {
+    return static_cast<double>(lo) / 7.0 + static_cast<double>(hi);
+  };
+  double got = -1.0;
+  for (uint32_t hi = 1; hi < pool_size; ++hi) {
+    for (uint32_t lo = 0; lo < hi; ++lo) {
+      ASSERT_FALSE(memo.Find(lo, hi, &got)) << lo << "," << hi;
+      memo.Store(lo, hi, value(lo, hi));
     }
   }
-  for (uint64_t lo = 0; lo < pool_size; ++lo) {
-    for (uint64_t hi = lo + 1; hi < pool_size; ++hi) {
-      double value = -1.0;
-      ASSERT_TRUE(memo.Find((lo << 32) | hi, &value)) << lo << "," << hi;
-      EXPECT_TRUE(
-          SameBits(value, static_cast<double>(lo * pool_size + hi)));
+  for (uint32_t hi = 1; hi < pool_size; ++hi) {
+    for (uint32_t lo = 0; lo < hi; ++lo) {
+      ASSERT_TRUE(memo.Find(lo, hi, &got)) << lo << "," << hi;
+      EXPECT_TRUE(SameBits(got, value(lo, hi))) << lo << "," << hi;
     }
   }
-  // The memo is full: a key outside the pool's pair space is refused.
-  const uint64_t outside = (uint64_t{7} << 32) | pool_size;
-  memo.Insert(outside, 1.0);
-  double value = -1.0;
-  EXPECT_FALSE(memo.Find(outside, &value));
 }
 
-TEST(DisplayMemoCapacityTest, RacingInsertsNeverPassTheCap) {
-  internal::PoolDisplayMemo memo(1, 64);  // capacity 2016
-  const uint64_t per_thread = 2 * memo.capacity();
-  std::vector<std::thread> threads;
-  for (uint64_t t = 0; t < 3; ++t) {
-    threads.emplace_back([&memo, t, per_thread] {
-      for (uint64_t k = 0; k < per_thread; ++k) {
-        memo.Insert(t * per_thread + k + 1, 1.0);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  size_t admitted = 0;
-  for (uint64_t k = 1; k <= 3 * per_thread; ++k) {
-    double value;
-    if (memo.Find(k, &value)) ++admitted;
-  }
-  EXPECT_EQ(admitted, memo.capacity());
-}
-
-// Drives a bound metric's memo past its cap. The cap is the pool's pair
-// count, which no real pair of the pool can pass, so the metric is bound
-// to a pool declared half the size of the one its contexts index: the
-// pass meets more distinct pairs than the memo admits. The memo keeps
-// exactly `capacity()` of them, and every distance, served from the memo
-// or recomputed past the cap, has the bits a fresh, unbound metric
-// computes.
+// Drives a bound metric over a pool that straddles the table's covered
+// bound: half of its ids lie at or past kPoolTableIds. Pairs of two
+// covered ids come back from the table; a pair with an id past the bound
+// is kept only in the workspace's L1, so a second pass on a fresh
+// workspace recomputes it. Every distance has the bits a fresh, unbound
+// metric computes.
 TEST(DisplayMemoCapacityTest, DistancesUnchangedPastTheCap) {
   const size_t chains = 16, length = 8;
-  ChainPool pool(chains, length);
+  const size_t base = internal::kPoolTableIds - chains * length / 2;
+  ChainPool pool(chains, length, base);
   SessionDistance metric;
-  pool.Stamp(metric.BindPool(pool.size() / 2));
-  const size_t cap = internal::PoolDisplayMemo(0, pool.size() / 2).capacity();
+  pool.Stamp(metric.BindPool(base + pool.size()));
   const size_t pairs = chains * (chains - 1) / 2 * length * length;
-  ASSERT_GT(pairs, cap);
+  // Covered pairs: both nodes in the first chains / 2 chains.
+  const size_t covered = chains / 2 * (chains / 2 - 1) / 2 * length * length;
 
   // First pass: every pool pair is new.
   std::vector<double> first;
@@ -379,9 +401,10 @@ TEST(DisplayMemoCapacityTest, DistancesUnchangedPastTheCap) {
 #if IDA_OBS_ENABLED
     EXPECT_EQ(ws.tally.display_computes, pairs);
     EXPECT_EQ(ws.tally.display_shared_hits, 0u);
+    EXPECT_EQ(ws.tally.display_memo_lookups, pairs - covered);
 #endif
   }
-  // Second pass on an empty L1: admitted pairs come from the memo, the
+  // Second pass on an empty L1: covered pairs come from the table, the
   // rest are recomputed; a fresh metric checks the bits.
   TedWorkspace ws, fresh_ws;
   const SessionDistance fresh;
@@ -391,18 +414,135 @@ TEST(DisplayMemoCapacityTest, DistancesUnchangedPastTheCap) {
       const double again =
           metric.TreeEditDistance(pool.contexts[i], pool.contexts[j], &ws);
       ASSERT_TRUE(SameBits(again, first[p])) << i << "," << j;
-      if (p % 16 == 0) {
-        const double want = fresh.TreeEditDistance(
-            pool.contexts[i], pool.contexts[j], &fresh_ws);
-        ASSERT_TRUE(SameBits(first[p], want)) << i << "," << j;
-      }
+      const double want = fresh.TreeEditDistance(
+          pool.contexts[i], pool.contexts[j], &fresh_ws);
+      ASSERT_TRUE(SameBits(first[p], want)) << i << "," << j;
     }
   }
 #if IDA_OBS_ENABLED
-  // Each pair appears once per pass: the memo held exactly `cap` of them.
-  EXPECT_EQ(ws.tally.display_shared_hits, cap);
-  EXPECT_EQ(ws.tally.display_computes, pairs - cap);
+  EXPECT_EQ(ws.tally.display_shared_hits, covered);
+  EXPECT_EQ(ws.tally.display_computes, pairs - covered);
 #endif
+}
+
+// Values whose bits are special survive the table's encoding: 0.0 (whose
+// flipped bits are the only ones near "absent"), NaN, and both infinities.
+// -0.0 is the one value the encoding cannot hold; it is never kept, so it
+// is recomputed rather than misread.
+TEST(DisplayMemoTableTest, SpecialValuesRoundTripBitwise) {
+  internal::PoolDisplayMemo memo(1, 8);
+  const double values[] = {0.0, std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::denorm_min()};
+  uint32_t hi = 1;
+  for (const double v : values) {
+    memo.Store(0, hi, v);
+    double got = -1.0;
+    ASSERT_TRUE(memo.Find(0, hi, &got)) << hi;
+    EXPECT_TRUE(SameBits(got, v)) << hi;
+    ++hi;
+  }
+  memo.Store(0, hi, -0.0);
+  double got = -1.0;
+  EXPECT_FALSE(memo.Find(0, hi, &got));
+}
+
+// Single-node contexts over chosen displays, every display a member of
+// one bound pool: content-equal displays under distinct pool ids, and
+// displays whose values are NaN or infinite.
+TEST(DisplayMemoTableTest, ZeroAndNonFiniteDistancesRoundTrip) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> values = {
+      {1.0, 2.0}, {1.0, 2.0}, {nan, 2.0}, {inf, 2.0}, {-inf, 1.0}, {inf, inf}};
+  const std::vector<std::string> labels = {"a", "b"};
+  const std::optional<Action> no_action;
+  SessionDistance metric;
+  const uint64_t token = metric.BindPool(values.size());
+  std::vector<FlatContext> contexts(values.size());
+  for (size_t id = 0; id < values.size(); ++id) {
+    FlatContext::Node node;
+    node.display.kind = DisplayKind::kAggregated;
+    node.display.num_labels = 2;
+    node.display.num_values = 2;
+    node.display.num_rows = 10;
+    node.display.owned_labels = labels.data();
+    node.display.values = values[id].data();
+    node.display_id = static_cast<int32_t>(id);
+    node.incoming = &no_action;
+    contexts[id].post = {node};
+    contexts[id].keyroots = {0};
+    contexts[id].pool = token;
+  }
+
+  // Pool ids 0 and 1 name content-equal displays: a real 0.0 distance.
+  TedWorkspace probe;
+  EXPECT_TRUE(SameBits(metric.TreeEditDistance(contexts[0], contexts[1],
+                                               &probe),
+                       0.0));
+  for (int pass = 0; pass < 2; ++pass) {
+    TedWorkspace ws, fresh_ws;
+    const SessionDistance fresh;
+    for (size_t i = 0; i < contexts.size(); ++i) {
+      for (size_t j = i + 1; j < contexts.size(); ++j) {
+        const double got =
+            metric.TreeEditDistance(contexts[i], contexts[j], &ws);
+        const double want =
+            fresh.TreeEditDistance(contexts[i], contexts[j], &fresh_ws);
+        EXPECT_TRUE(SameBits(got, want)) << pass << ": " << i << "," << j;
+      }
+    }
+#if IDA_OBS_ENABLED
+    // The second pass reads every pair back from the table.
+    const size_t pairs = contexts.size() * (contexts.size() - 1) / 2;
+    EXPECT_EQ(ws.tally.display_shared_hits, pass == 0 ? 1u : pairs);
+    EXPECT_EQ(ws.tally.display_memo_lookups, 0u);
+#endif
+  }
+}
+
+// Workers racing over every pair of one pool: a Find either misses or
+// returns the value's exact bits, and after the race every pair holds
+// them. Runs under TSan in CI.
+TEST(DisplayMemoTableTest, RacingStoresAndFindsAgreeBitwise) {
+  const uint32_t pool_size = 256;
+  internal::PoolDisplayMemo memo(1, pool_size);
+  const auto value = [](uint32_t lo, uint32_t hi) {
+    return std::sqrt(static_cast<double>(lo * 131 + hi));
+  };
+  constexpr uint32_t kWorkers = 4;
+  std::atomic<bool> go{false};
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kWorkers; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      // Each worker starts at a different row, so the workers meet.
+      for (uint32_t r = 0; r < pool_size; ++r) {
+        const uint32_t hi = (r + t * pool_size / kWorkers) % pool_size;
+        for (uint32_t lo = 0; lo < hi; ++lo) {
+          double got = 0.0;
+          if (!memo.Find(lo, hi, &got)) {
+            memo.Store(lo, hi, value(lo, hi));
+          } else if (!SameBits(got, value(lo, hi))) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  for (uint32_t hi = 1; hi < pool_size; ++hi) {
+    for (uint32_t lo = 0; lo < hi; ++lo) {
+      double got = -1.0;
+      ASSERT_TRUE(memo.Find(lo, hi, &got)) << lo << "," << hi;
+      EXPECT_TRUE(SameBits(got, value(lo, hi))) << lo << "," << hi;
+    }
+  }
 }
 
 // Workers of one pool id space meet the same pool displays for the first

@@ -144,8 +144,8 @@ Flags ParseFlags(int argc, char** argv) {
   std::exit(1);
 }
 
-/// The serving-scale model configuration (mirrors bench_serve_session):
-/// keep every state so the training set is dense enough to serve against.
+/// The serving-scale model configuration: keep every state so the
+/// training set is dense enough to serve against.
 ModelConfig ServeConfig(bool no_index) {
   ModelConfig config = DefaultNormalizedConfig();
   config.theta_interest = -1e300;
