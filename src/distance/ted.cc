@@ -160,25 +160,23 @@ GroundTables BuildGroundTables(const std::vector<FlatContext>& flat,
 // precomputed alter table. Mirrors SessionDistance::Distance.
 double TableDistance(const FlatContext& a, const FlatContext& b,
                      const int* a_node, const int* b_node,
-                     const GroundTables& g,
-                     const SessionDistanceOptions& options,
-                     TedWorkspace* ws) {
+                     const GroundTables& g, TedWorkspace* ws) {
   const size_t total = a.size() + b.size();
   if (total == 0) return 0.0;
   double ted;
   if (a.empty() || b.empty()) {
-    ted = options.indel_cost * static_cast<double>(a.size() + b.size());
+    ted = kIndelCost * static_cast<double>(a.size() + b.size());
   } else {
     IDA_OBS_TALLY(++ws->tally.ted_calls);
     const double* alter = g.alter.data();
     const size_t w = g.num_nodes;
     ted = ZhangShashaCompute(
-        a, b, options.indel_cost, ws, [&](int pi, int pj) {
+        a, b, kIndelCost, ws, [&](int pi, int pj) {
           return alter[static_cast<size_t>(a_node[pi]) * w +
                        static_cast<size_t>(b_node[pj])];
         });
   }
-  return ted / (options.indel_cost * static_cast<double>(total));
+  return ted / (kIndelCost * static_cast<double>(total));
 }
 
 }  // namespace
@@ -199,19 +197,9 @@ FlatContext SessionDistance::Prepare(const NContext& ctx) {
     }
   }
   std::sort(t.keyroots.begin(), t.keyroots.end());
-  // Cascade summaries (distance/bounds.h): one linear pass over the
-  // flattened nodes. A node is a leaf iff it is its own leftmost leaf.
-  for (int i = 0; i < static_cast<int>(t.size()); ++i) {
-    FlatContext::Node& node = t.post[static_cast<size_t>(i)];
+  for (FlatContext::Node& node : t.post) {
     node.log_rows =
         std::log2(static_cast<double>(node.display.num_rows) + 1.0);
-    if (node.leftmost == i) ++t.num_leaves;
-    ++t.kind_hist[static_cast<size_t>(node.display.kind)];
-    const size_t action_class =
-        node.incoming->has_value()
-            ? 1 + static_cast<size_t>((*node.incoming)->type())
-            : 0;
-    ++t.action_hist[action_class];
   }
   return t;
 }
@@ -264,8 +252,8 @@ double SessionDistance::TreeEditDistance(const FlatContext& ta,
                                          const FlatContext& tb,
                                          TedWorkspace* ws) const {
   if (ta.empty() && tb.empty()) return 0.0;
-  if (ta.empty()) return options_.indel_cost * static_cast<double>(tb.size());
-  if (tb.empty()) return options_.indel_cost * static_cast<double>(ta.size());
+  if (ta.empty()) return kIndelCost * static_cast<double>(tb.size());
+  if (tb.empty()) return kIndelCost * static_cast<double>(ta.size());
   IDA_OBS_TALLY(++ws->tally.ted_calls);
 
   // Memo epoch checks, between pairs only (never mid-pair). The L1 memo
@@ -320,7 +308,7 @@ double SessionDistance::TreeEditDistance(const FlatContext& ta,
   const uint32_t* aid = ws->aid_.data();
   const uint32_t* bid = ws->bid_.data();
   return ZhangShashaCompute(
-      ta, tb, options_.indel_cost, ws, [&](int pi, int pj) {
+      ta, tb, kIndelCost, ws, [&](int pi, int pj) {
         const double dd = MemoDisplayDistance(an[pi].display, bn[pj].display,
                                               aid[pi], bid[pj], shared, ws);
         const double da = ActionDistance(*an[pi].incoming, *bn[pj].incoming);
@@ -385,7 +373,7 @@ double SessionDistance::Distance(const FlatContext& a, const FlatContext& b,
   const size_t total = a.size() + b.size();
   if (total == 0) return 0.0;
   const double ted = TreeEditDistance(a, b, ws);
-  return ted / (options_.indel_cost * static_cast<double>(total));
+  return ted / (kIndelCost * static_cast<double>(total));
 }
 
 double SessionDistance::Distance(const NContext& a, const NContext& b) const {
@@ -396,7 +384,7 @@ double SessionDistance::Distance(const NContext& a, const NContext& b) const {
   const FlatContext ta = Prepare(a);
   const FlatContext tb = Prepare(b);
   const double ted = TreeEditDistance(ta, tb, &ws);
-  return ted / (options_.indel_cost * static_cast<double>(total));
+  return ted / (kIndelCost * static_cast<double>(total));
 }
 
 void FlushTedTally(const TedTally& tally, const obs::ObsConfig& obs) {
@@ -477,8 +465,7 @@ std::vector<std::vector<double>> BuildDistanceMatrix(
             const int* a_node = tables.node_id[i].data();
             for (size_t j = i + 1; j < n; ++j) {
               row[j] = TableDistance(flat[i], flat[j], a_node,
-                                     tables.node_id[j].data(), tables,
-                                     metric.options(), &ws);
+                                     tables.node_id[j].data(), tables, &ws);
             }
           } else {
             for (size_t j = i + 1; j < n; ++j) {

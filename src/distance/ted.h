@@ -21,7 +21,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -224,14 +223,16 @@ class PoolDisplayMemo {
 
 }  // namespace internal
 
+/// Cost of deleting or inserting one context node (with its edge): the
+/// paper's unit cost (Sec 4.2).
+inline constexpr double kIndelCost = 1.0;
+
 /// Cost model for the session tree edit distance.
 struct SessionDistanceOptions {
-  /// Cost of deleting or inserting one context node (with its edge).
-  double indel_cost = 1.0;
   /// Relative weight of the display ground metric inside an alter cost
   /// (the action metric gets 1 - display_weight). Alter cost is
   /// display_weight * display_dist + (1 - display_weight) * action_dist,
-  /// and is therefore <= indel_cost by construction.
+  /// and is therefore <= kIndelCost by construction.
   double display_weight = 0.5;
   /// Worker threads for BuildDistanceMatrix and batch prediction:
   /// 0 = hardware concurrency, 1 = serial (no background threads).
@@ -272,17 +273,6 @@ struct FlatContext {
   std::vector<Node> post;
   /// Keyroot positions (ascending): highest node per leftmost-leaf value.
   std::vector<int> keyroots;
-
-  /// O(1) structural summaries, filled by Prepare and consumed by the
-  /// serving-time filter cascade (distance/bounds.h): leaf count and
-  /// per-class histograms of the two discrete node features the alter-cost
-  /// ground metrics charge a fixed minimum for across classes.
-  int32_t num_leaves = 0;
-  /// Node count per DisplayKind (root / raw / aggregated).
-  std::array<int32_t, 3> kind_hist{};
-  /// Node count per incoming-action class: slot 0 = no incoming action
-  /// (context root), slots 1.. = ActionType (filter / group-by / back).
-  std::array<int32_t, 4> action_hist{};
 
   /// Process-unique token of the display-id space the nodes' display_id
   /// values belong to (0 = no pool: every display_id is -1). Tokens are

@@ -6,7 +6,6 @@
 // already proven 8-aligned and in bounds (tools/ida_lint "byte-cast").
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -105,12 +104,8 @@ void WriteConfig(const ModelConfig& c, Writer* w) {
   w->F64(c.knn.distance_threshold);
   w->U8(c.knn.distance_weighted ? 1 : 0);
   w->U8(c.use_index ? 1 : 0);
-  w->U8(c.approx.enabled ? 1 : 0);
-  w->F64(c.approx.epsilon);
-  w->F64(c.approx.recall_target);
   w->U8(c.load.eager_checksums ? 1 : 0);
   w->U8(static_cast<uint8_t>(c.method));
-  w->F64(c.distance.indel_cost);
   w->F64(c.distance.display_weight);
   w->I32(c.distance.num_threads);
   w->U8(c.training.successful_only ? 1 : 0);
@@ -130,12 +125,8 @@ Status ReadConfig(Reader* r, ModelConfig* c) {
   c->knn.distance_threshold = r->F64();
   c->knn.distance_weighted = r->U8() != 0;
   c->use_index = r->U8() != 0;
-  c->approx.enabled = r->U8() != 0;
-  c->approx.epsilon = r->F64();
-  c->approx.recall_target = r->F64();
   c->load.eager_checksums = r->U8() != 0;
   uint8_t method = r->U8();
-  c->distance.indel_cost = r->F64();
   c->distance.display_weight = r->F64();
   c->distance.num_threads = r->I32();
   c->training.successful_only = r->U8() != 0;
@@ -507,20 +498,18 @@ Result<std::vector<Action>> ParseActions(const Directory& dir,
   return actions;
 }
 
-// A context's postorder leftmost-leaf array, keyroots and cascade
-// summaries must be exactly what SessionDistance::Prepare produces for one
-// tree: the Zhang-Shasha DP indexes its forest table by leftmost -
-// leftmost(keyroot) and reads subtree distances earlier keyroots
-// computed, and the cascade bounds subtract summary counts, so anything
-// else is a memory-safety (or overflow) question, not just a wrong
-// distance. One pass over a stack of the finished subtrees ({start,
-// root}; together they tile the positions seen so far): node j's
-// children are exactly the stacked subtrees starting at or after
-// leftmost(j), which must tile [leftmost(j), j); every child but the
-// first, and the tree's root, is a keyroot. `stack` is caller scratch,
-// reused across contexts so validation allocates nothing per context.
-Status CheckContext(const FlatContext& fc, const ContextRecord& cr,
-                    uint32_t context,
+// A context's postorder leftmost-leaf array and keyroots must be exactly
+// what SessionDistance::Prepare produces for one tree: the Zhang-Shasha DP
+// indexes its forest table by leftmost - leftmost(keyroot) and reads
+// subtree distances earlier keyroots computed, so anything else is a
+// memory-safety question, not just a wrong distance. One pass over a
+// stack of the finished subtrees ({start, root}; together they tile the
+// positions seen so far): node j's children are exactly the stacked
+// subtrees starting at or after leftmost(j), which must tile
+// [leftmost(j), j); every child but the first, and the tree's root, is a
+// keyroot. `stack` is caller scratch, reused across contexts so
+// validation allocates nothing per context.
+Status CheckContext(const FlatContext& fc, uint32_t context,
                     std::vector<std::pair<int32_t, int32_t>>* stack) {
   const auto bad = [context](const std::string& what) {
     return Corrupt("context " + std::to_string(context) + " " + what);
@@ -530,13 +519,9 @@ Status CheckContext(const FlatContext& fc, const ContextRecord& cr,
   };
   stack->clear();
   size_t keyroots = 0;
-  int32_t leaves = 0;
-  std::array<int32_t, 3> kinds{};
-  std::array<int32_t, 4> actions{};
   for (size_t pos = 0; pos < fc.post.size(); ++pos) {
-    const FlatContext::Node& n = fc.post[pos];
     const int32_t j = static_cast<int32_t>(pos);
-    const int32_t l = n.leftmost;
+    const int32_t l = fc.post[pos].leftmost;
     int32_t first_start = j;
     int32_t child = -1;  // the last popped child; the first child at the end
     while (!stack->empty() && stack->back().first >= l) {
@@ -550,11 +535,6 @@ Status CheckContext(const FlatContext& fc, const ContextRecord& cr,
     }
     if (first_start != l) return bad("has an invalid leftmost leaf");
     stack->emplace_back(l, j);
-    if (l == j) ++leaves;
-    ++kinds[static_cast<size_t>(n.display.kind)];
-    ++actions[n.incoming->has_value()
-                  ? 1 + static_cast<size_t>((*n.incoming)->type())
-                  : 0];
   }
   if (stack->size() > 1) return bad("is not a single tree");
   if (!stack->empty()) {
@@ -562,11 +542,6 @@ Status CheckContext(const FlatContext& fc, const ContextRecord& cr,
     ++keyroots;
   }
   if (keyroots != fc.keyroots.size()) return bad("has invalid keyroots");
-  if (leaves != cr.num_leaves ||
-      !std::equal(kinds.begin(), kinds.end(), cr.kind_hist) ||
-      !std::equal(actions.begin(), actions.end(), cr.action_hist)) {
-    return bad("has inconsistent cascade summaries");
-  }
   return Status::OK();
 }
 
@@ -621,8 +596,8 @@ std::string Serialize(const TrainedModel& model) {
     disp_recs.push_back(rec);
   }
 
-  // Flat contexts, frozen verbatim (log_rows, leftmost, keyroots and the
-  // cascade summaries are the bitwise values the classifier serves).
+  // Flat contexts, frozen verbatim (log_rows, leftmost and keyroots are
+  // the bitwise values the classifier serves).
   std::vector<NodeRecord> node_recs;
   std::vector<ContextRecord> ctx_recs;
   std::vector<int32_t> keyroot_heap;
@@ -633,9 +608,6 @@ std::string Serialize(const TrainedModel& model) {
     cr.node_count = static_cast<uint32_t>(fc.post.size());
     cr.keyroot_begin = static_cast<uint32_t>(keyroot_heap.size());
     cr.keyroot_count = static_cast<uint32_t>(fc.keyroots.size());
-    cr.num_leaves = fc.num_leaves;
-    for (size_t i = 0; i < 3; ++i) cr.kind_hist[i] = fc.kind_hist[i];
-    for (size_t i = 0; i < 4; ++i) cr.action_hist[i] = fc.action_hist[i];
     ctx_recs.push_back(cr);
     for (const FlatContext::Node& n : fc.post) {
       NodeRecord nr;
@@ -887,10 +859,7 @@ Result<FlatTrainingSet> LoadServing(
       fc.keyroots.push_back(k);
       prev = k;
     }
-    IDA_RETURN_NOT_OK(CheckContext(fc, cr, i, &subtree_stack));
-    fc.num_leaves = cr.num_leaves;
-    for (size_t h = 0; h < 3; ++h) fc.kind_hist[h] = cr.kind_hist[h];
-    for (size_t h = 0; h < 4; ++h) fc.action_hist[h] = cr.action_hist[h];
+    IDA_RETURN_NOT_OK(CheckContext(fc, i, &subtree_stack));
     node_cursor += cr.node_count;
     keyroot_cursor += cr.keyroot_count;
     out.contexts.push_back(std::move(fc));

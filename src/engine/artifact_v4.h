@@ -1,9 +1,9 @@
-// The model artifact format (DESIGN.md §16, format version 5; the file
+// The model artifact format (DESIGN.md §16, format version 6; the file
 // and namespace keep the name of the version that introduced the layout):
 // a flat, little-endian, zero-copy layout that a read-only file mapping
 // serves in place.
 //
-//   "IDAMODEL" | u32 version=5 | u32 section_count
+//   "IDAMODEL" | u32 version=6 | u32 section_count
 //   | section_count x SectionEntry {tag, reserved, offset, length, checksum}
 //   | u64 directory checksum (FNV-1a over everything above)
 //   | sections, each at an 8-byte-aligned absolute offset, zero-padded
@@ -112,16 +112,12 @@ struct NodeRecord {
 };
 
 /// One training context of the CTXH section: its node and keyroot slices
-/// (exact-tiling indices into NODE / KEYR) plus the O(1) cascade
-/// summaries Prepare computed at fit time.
+/// (exact-tiling indices into NODE / KEYR).
 struct ContextRecord {
   uint32_t node_begin = 0;
   uint32_t node_count = 0;
   uint32_t keyroot_begin = 0;
   uint32_t keyroot_count = 0;
-  int32_t num_leaves = 0;
-  int32_t kind_hist[3] = {0, 0, 0};
-  int32_t action_hist[4] = {0, 0, 0, 0};
 };
 
 /// One training sample of the LBLS section: label, acceptable-label slice
@@ -139,7 +135,7 @@ struct SampleRecord {
 static_assert(sizeof(SectionEntry) == 32, "v4 directory entry layout");
 static_assert(sizeof(DisplayRecord) == 40, "v4 DISP record layout");
 static_assert(sizeof(NodeRecord) == 24, "v4 NODE record layout");
-static_assert(sizeof(ContextRecord) == 48, "v4 CTXH record layout");
+static_assert(sizeof(ContextRecord) == 16, "v4 CTXH record layout");
 static_assert(sizeof(SampleRecord) == 32, "v4 LBLS record layout");
 static_assert(std::is_trivially_copyable_v<SectionEntry>);
 static_assert(std::is_trivially_copyable_v<DisplayRecord>);

@@ -50,10 +50,8 @@ struct ModelConfig {
   /// distance evaluations with it. Predictions are bitwise identical
   /// either way; this is the escape hatch back to the brute-force scan.
   bool use_index = true;
-  /// Opt-in approximate serving (DESIGN.md §13): inflates the filter
-  /// cascade's lower bounds by (1 + epsilon) to prune more aggressively,
-  /// trading a measured fraction of recall for latency. Off by default —
-  /// exact serving, bitwise-deterministic predictions.
+  /// Benchmark shim: an empty struct, neither validated nor serialized,
+  /// kept only because perfbench/driver.cc passes it to IKnnClassifier.
   ApproxOptions approx;
   /// Which offline comparison labels the training set.
   ComparisonMethod method = ComparisonMethod::kNormalized;

@@ -1,7 +1,6 @@
 #include "engine/engine.h"
 
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "distance/ted.h"
@@ -45,17 +44,14 @@ Status ValidateConfig(const ModelConfig& config) {
   if (config.measures.empty()) {
     return Status::InvalidArgument("measure set must not be empty");
   }
-  if (config.distance.display_weight < 0.0 ||
-      config.distance.display_weight > 1.0) {
+  // Negated so NaN fails too: a NaN alter cost would reach the DP's mins.
+  if (!(config.distance.display_weight >= 0.0 &&
+        config.distance.display_weight <= 1.0)) {
     return Status::InvalidArgument("distance.display_weight must be in [0, 1]");
   }
-  if (!(config.approx.epsilon >= 0.0) ||
-      !std::isfinite(config.approx.epsilon)) {
-    return Status::InvalidArgument("approx.epsilon must be finite and >= 0");
-  }
-  if (!(config.approx.recall_target >= 0.0 &&
-        config.approx.recall_target <= 1.0)) {
-    return Status::InvalidArgument("approx.recall_target must be in [0, 1]");
+  if (!(config.knn.distance_threshold >= 0.0)) {
+    return Status::InvalidArgument(
+        "knn.distance_threshold must be a number >= 0");
   }
   return ResolveMeasures(config.measures).status();
 }
@@ -199,9 +195,6 @@ Predictor::Predictor(ModelConfig config, MeasureSet measures,
     metrics_.index_searches = reg.GetCounter("ida.index.searches");
     metrics_.index_nodes_visited = reg.GetCounter("ida.index.nodes_visited");
     metrics_.index_lb_pruned = reg.GetCounter("ida.index.lb_pruned");
-    metrics_.index_structure_pruned =
-        reg.GetCounter("ida.index.structure_pruned");
-    metrics_.index_hist_pruned = reg.GetCounter("ida.index.hist_pruned");
     metrics_.index_triangle_pruned =
         reg.GetCounter("ida.index.triangle_pruned");
     metrics_.index_core_pruned = reg.GetCounter("ida.index.core_pruned");
@@ -216,8 +209,6 @@ void Predictor::RecordIndexStats(const index::IndexStats& s) const {
   metrics_.index_searches->Add(s.searches);
   metrics_.index_nodes_visited->Add(s.nodes_visited);
   metrics_.index_lb_pruned->Add(s.lb_pruned);
-  metrics_.index_structure_pruned->Add(s.structure_pruned);
-  metrics_.index_hist_pruned->Add(s.hist_pruned);
   metrics_.index_triangle_pruned->Add(s.triangle_pruned);
   metrics_.index_core_pruned->Add(s.core_pruned);
   metrics_.index_subtree_pruned->Add(s.subtree_pruned);
@@ -242,7 +233,7 @@ Result<Predictor> Predictor::Load(TrainedModel model, obs::ObsConfig obs) {
   auto knn = std::make_shared<const IKnnClassifier>(
       std::vector<TrainingSample>(model.samples()),
       SessionDistance(config.distance), config.knn,
-      config.use_index ? model.index() : nullptr, config.approx);
+      config.use_index ? model.index() : nullptr);
   return Predictor(std::move(config), std::move(measures), std::move(knn),
                    obs);
 }
@@ -265,8 +256,7 @@ Result<Predictor> Predictor::LoadMapped(
   }
   if (!config.use_index) flat.index = nullptr;
   auto knn = std::make_shared<const IKnnClassifier>(
-      std::move(flat), SessionDistance(config.distance), config.knn,
-      config.approx);
+      std::move(flat), SessionDistance(config.distance), config.knn);
   return Predictor(std::move(config), std::move(measures), std::move(knn),
                    obs);
 }
@@ -442,7 +432,7 @@ Result<EvaluationReport> EvaluateLoocv(const TrainedModel& model,
                        model.index()->size() == samples.size();
   IKnnClassifier classifier(std::vector<TrainingSample>(samples),
                             SessionDistance(config.distance), config.knn,
-                            indexed ? model.index() : nullptr, config.approx);
+                            indexed ? model.index() : nullptr);
   obs::ScopedTimer knn_timer(obs, "loocv.knn");
   index::IndexStats index_stats;
   report.knn = EvaluateKnnLoocv(classifier, num_classes,

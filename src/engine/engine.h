@@ -171,8 +171,6 @@ class Predictor {
     obs::Counter* index_searches = nullptr;
     obs::Counter* index_nodes_visited = nullptr;
     obs::Counter* index_lb_pruned = nullptr;
-    obs::Counter* index_structure_pruned = nullptr;
-    obs::Counter* index_hist_pruned = nullptr;
     obs::Counter* index_triangle_pruned = nullptr;
     obs::Counter* index_core_pruned = nullptr;
     obs::Counter* index_subtree_pruned = nullptr;

@@ -37,7 +37,7 @@ inline constexpr char kArtifactMagic[8] = {'I', 'D', 'A', 'M',
                                            'O', 'D', 'E', 'L'};
 /// The artifact format version this build writes and reads. Bump on any
 /// layout change; other versions are rejected with an explicit message.
-inline constexpr uint32_t kArtifactVersion = 5;
+inline constexpr uint32_t kArtifactVersion = 6;
 
 /// An immutable trained model: configuration + labeled samples + optional
 /// serving index.

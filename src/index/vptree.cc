@@ -4,23 +4,12 @@
 #include <cmath>
 #include <numeric>
 
-#include "distance/bounds.h"
 #include "distance/ground.h"
 #include "distance/zhang_shasha.h"
 
 namespace ida::index {
 
 namespace {
-
-// Relative deflation applied to every lower bound before it is compared
-// against the pruning threshold. The bound derivations are exact up to
-// floating-point jitter in the triangle identity and in the core/true
-// cost-term accumulation order; the jitter is bounded by a few ULPs per
-// context node (contexts are a handful of nodes), so a 1e-9 relative
-// margin dwarfs it by many orders of magnitude while weakening pruning
-// imperceptibly. Bounds stay nonnegative (slack is a positive factor).
-// Shared with the brute-force cascade (distance/bounds.h).
-constexpr double kBoundSlack = kCascadeBoundSlack;
 
 // splitmix64 finalizer — the deterministic pivot-selection hash.
 uint64_t Mix64(uint64_t x) {
@@ -79,13 +68,13 @@ double CoreTreeEditDistance(const FlatContext& a, const FlatContext& b,
                             const SessionDistanceOptions& options,
                             TedWorkspace* ws) {
   if (a.empty() && b.empty()) return 0.0;
-  if (a.empty()) return options.indel_cost * static_cast<double>(b.size());
-  if (b.empty()) return options.indel_cost * static_cast<double>(a.size());
+  if (a.empty()) return kIndelCost * static_cast<double>(b.size());
+  if (b.empty()) return kIndelCost * static_cast<double>(a.size());
   const double dw = options.display_weight;
   const FlatContext::Node* an = a.post.data();
   const FlatContext::Node* bn = b.post.data();
   return internal::ZhangShashaCompute(
-      a, b, options.indel_cost, ws, [&](int pi, int pj) {
+      a, b, kIndelCost, ws, [&](int pi, int pj) {
         return CoreAlterCost(an[pi], bn[pj], dw);
       });
 }
@@ -94,8 +83,6 @@ void IndexStats::Merge(const IndexStats& other) {
   searches += other.searches;
   nodes_visited += other.nodes_visited;
   lb_pruned += other.lb_pruned;
-  structure_pruned += other.structure_pruned;
-  hist_pruned += other.hist_pruned;
   triangle_pruned += other.triangle_pruned;
   core_pruned += other.core_pruned;
   subtree_pruned += other.subtree_pruned;
@@ -245,15 +232,6 @@ struct VpTree::SearchState {
   std::vector<std::pair<double, size_t>>* heap = nullptr;
   IndexStats stats;
   double qn = 0.0;  ///< query node count as double
-  double indel = 1.0;
-  /// Approximate-serving bound scale (>= 1.0; exactly 1.0 in exact mode,
-  /// where multiplying by it is a bitwise no-op).
-  double inflation = 1.0;
-  /// Whether the degree/leaf-count cascade stage runs (see Search). When
-  /// query and corpus are all single-leaf chains, StructureLowerBound
-  /// degenerates to exactly the size bound that already ran, so the stage
-  /// cannot prune and is skipped.
-  bool structure_stage = true;
 
   /// Current pruning threshold: the abstain radius, tightened to the k-th
   /// best (distance, id) once k candidates are held. A lower bound that
@@ -284,44 +262,14 @@ struct VpTree::SearchState {
     }
   }
 
-  /// Normalized-distance lower bound from the node-count difference alone:
-  /// every tree edit between differently-sized trees spends at least
-  /// indel * |size difference|, and the indel cost cancels against the
-  /// normalizer. Sound for any alter-cost model.
-  double SizeBound(double candidate_size) const {
-    const double total = qn + candidate_size;
-    if (total <= 0.0) return 0.0;
-    return inflation * (kBoundSlack * (std::fabs(qn - candidate_size) / total));
-  }
-
   /// Converts a raw core-TED lower bound into a normalized-distance lower
   /// bound for a candidate (or subtree) whose node count is
   /// `candidate_size` (use the subtree maximum: the largest denominator
   /// gives the smallest, i.e. still-sound, bound).
   double NormBound(double raw, double candidate_size) const {
-    const double denom = indel * (qn + candidate_size);
+    const double denom = kIndelCost * (qn + candidate_size);
     if (denom <= 0.0) return 0.0;
-    return inflation * (kBoundSlack * (raw / denom));
-  }
-
-  /// The O(1) filter-cascade prefix shared by the pivot and leaf-entry
-  /// chains (distance/bounds.h): degree/leaf-count bound, then the
-  /// label-histogram bound. The size bound runs before this (its operands
-  /// are already in registers at both call sites). Returns true when the
-  /// candidate was pruned (and counts the stage that did it).
-  bool CascadePrunes(const FlatContext& ctx, double cn) {
-    const double tau = Tau();
-    if (structure_stage &&
-        NormBound(StructureLowerBound(*query, ctx, indel), cn) > tau) {
-      ++stats.structure_pruned;
-      return true;
-    }
-    if (NormBound(HistogramLowerBound(*query, ctx, metric->options()), cn) >
-        tau) {
-      ++stats.hist_pruned;
-      return true;
-    }
-    return false;
+    return kBoundSlack * (raw / denom);
   }
 };
 
@@ -330,8 +278,7 @@ void VpTree::Search(const FlatContext& query,
                     const SessionDistance& metric, int k, double radius,
                     int exclude, TedWorkspace* ws,
                     std::vector<std::pair<double, size_t>>* out,
-                    IndexStats* stats, double bound_inflation,
-                    bool structure_stage) const {
+                    IndexStats* stats) const {
   out->clear();
   if (k <= 0 || radius < 0.0 || num_nodes_ == 0) {
     if (stats != nullptr) ++stats->searches;
@@ -349,9 +296,6 @@ void VpTree::Search(const FlatContext& query,
   state.heap = out;
   state.stats.searches = 1;
   state.qn = static_cast<double>(query.size());
-  state.indel = metric.options().indel_cost;
-  state.inflation = std::max(1.0, bound_inflation);
-  state.structure_stage = structure_stage;
 
   VisitNode(0, &state);
 
@@ -373,15 +317,13 @@ void VpTree::VisitNode(uint32_t node_index, SearchState* state) const {
                            state->ws);
   ++state->stats.core_teds;
 
-  // The pivot is itself a candidate: the O(1) cascade (size, structure,
-  // histogram bounds), then the already-computed core distance as a direct
-  // lower bound, then the exact metric.
+  // The pivot is itself a candidate: the size bound, then the
+  // already-computed core distance as a direct lower bound, then the exact
+  // metric.
   if (node.pivot != state->exclude) {
     const double pn = static_cast<double>(pivot_ctx.size());
-    if (state->SizeBound(pn) > state->Tau()) {
+    if (NormalizedSizeBound(state->qn, pn) > state->Tau()) {
       ++state->stats.lb_pruned;
-    } else if (state->CascadePrunes(pivot_ctx, pn)) {
-      // counted per stage inside CascadePrunes
     } else if (state->NormBound(core_qp, pn) > state->Tau()) {
       ++state->stats.core_pruned;
     } else {
@@ -399,20 +341,16 @@ void VpTree::VisitNode(uint32_t node_index, SearchState* state) const {
       if (static_cast<int>(id) == state->exclude) continue;
       const FlatContext& ctx = prepared[id];
       const double cn = static_cast<double>(ctx.size());
-      if (state->SizeBound(cn) > state->Tau()) {
+      if (NormalizedSizeBound(state->qn, cn) > state->Tau()) {
         ++state->stats.lb_pruned;
         continue;
       }
       // Triangle over the core pseudometric, sound for the true distance:
-      // ted(q,x) >= core(q,x) >= |core(q,p) - core(p,x)|. Runs before the
-      // structure/histogram stages: the cached core distance makes it the
-      // cheaper test (one multiply against precomputed operands), and the
-      // cascade orders stages by measured unit cost.
+      // ted(q,x) >= core(q,x) >= |core(q,p) - core(p,x)|.
       if (state->NormBound(std::fabs(core_qp - core_px), cn) > state->Tau()) {
         ++state->stats.triangle_pruned;
         continue;
       }
-      if (state->CascadePrunes(ctx, cn)) continue;
       const double d = state->metric->Distance(query, ctx, state->ws);
       ++state->stats.exact_teds;
       state->Consider(d, static_cast<size_t>(id));
@@ -431,9 +369,11 @@ void VpTree::VisitNode(uint32_t node_index, SearchState* state) const {
     // Size bound over [smin, smax]: zero when the query size lies inside
     // the range; otherwise the nearest endpoint minimizes it.
     if (state->qn < static_cast<double>(smin)) {
-      bound = std::max(bound, state->SizeBound(static_cast<double>(smin)));
+      bound = std::max(bound, NormalizedSizeBound(
+                                  state->qn, static_cast<double>(smin)));
     } else if (state->qn > static_cast<double>(smax)) {
-      bound = std::max(bound, state->SizeBound(static_cast<double>(smax)));
+      bound = std::max(bound, NormalizedSizeBound(
+                                  state->qn, static_cast<double>(smax)));
     }
     return bound;
   };
@@ -611,12 +551,6 @@ void FlushIndexStats(const IndexStats& stats, const obs::ObsConfig& obs) {
   }
   if (stats.lb_pruned > 0) {
     reg.GetCounter("ida.index.lb_pruned")->Add(stats.lb_pruned);
-  }
-  if (stats.structure_pruned > 0) {
-    reg.GetCounter("ida.index.structure_pruned")->Add(stats.structure_pruned);
-  }
-  if (stats.hist_pruned > 0) {
-    reg.GetCounter("ida.index.hist_pruned")->Add(stats.hist_pruned);
   }
   if (stats.triangle_pruned > 0) {
     reg.GetCounter("ida.index.triangle_pruned")->Add(stats.triangle_pruned);

@@ -20,26 +20,23 @@
 //
 //   ted(q,x) >= core(q,x) >= |core(q,p) - core(p,x)|
 //
-// Per candidate, a staged filter cascade (distance/bounds.h, DESIGN.md
-// §13) runs ever-tighter lower bounds before any exact DP, ordered by
-// measured unit cost: the O(1) size bound indel * ||q| - |x|| (sound for
-// any cost model: indels are the only operations that change the node
-// count), the cached core triangle bound above, then the O(1)
-// degree/leaf-count and interned-label-histogram bounds — each converted
-// to a normalized-distance lower bound via the known node counts and
-// compared against min(theta_delta, current k-th best), with per-stage
-// prune counts in IndexStats. Bounds are deflated by a 1e-9 relative
-// safety margin (kCascadeBoundSlack) so floating-point jitter in the
-// bound identities can never flip a boundary comparison; the equivalence
-// and CascadeBounds property tests then enforce bitwise-identical
-// predictions against the brute-force path. The opt-in approximate
-// serving mode (ApproxOptions, DESIGN.md §13) threads a bound_inflation
-// factor through Search: exactly 1.0 in exact mode (an IEEE identity),
-// 1 + epsilon when an operator trades a measured slice of recall for
-// more aggressive pruning.
+// Per candidate, the search runs cheap lower bounds before any exact DP
+// (DESIGN.md §13): first the size bound ||q| - |x|| / (|q| + |x|) (sound
+// for any alter cost: indels are the only operations that change the node
+// count); then, for a leaf entry, the triangle bound above over its cached
+// core distance to the leaf pivot, and for a pivot, the core distance
+// core(q, p) itself, which the search computes anyway to navigate.
+// Internal nodes skip a whole subtree when its core-distance range and
+// node-count range already bound it away. Every bound is compared against
+// min(theta_delta, current k-th best), with per-stage prune counts in
+// IndexStats, after a 1e-9 relative deflation (kBoundSlack) so
+// floating-point jitter in the bound identities can never flip a boundary
+// comparison; the equivalence and CascadeBounds property tests then
+// enforce bitwise-identical predictions against the brute-force path.
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <type_traits>
@@ -95,6 +92,27 @@ static_assert(sizeof(VpEntry) == 16, "VPTE record layout");
 static_assert(std::is_trivially_copyable_v<FlatNode>);
 static_assert(std::is_trivially_copyable_v<VpEntry>);
 
+/// Relative deflation applied to every lower bound before it is compared
+/// against the pruning threshold. The bound derivations are exact up to
+/// floating-point jitter in the triangle identity and in the core/true
+/// cost-term accumulation order; the jitter is bounded by a few ULPs per
+/// context node (contexts are a handful of nodes), so a 1e-9 relative
+/// margin dwarfs it by many orders of magnitude while weakening pruning
+/// imperceptibly.
+inline constexpr double kBoundSlack = 1.0 - 1e-9;
+
+/// Deflated normalized-distance lower bound from the node counts alone:
+/// every tree edit between trees of `query_size` and `candidate_size`
+/// nodes spends at least kIndelCost per node of difference, and the
+/// serving distance divides the TED by kIndelCost times the total node
+/// count. The one size bound both the tree search and the brute-force scan
+/// (predict/knn.cc) prune with.
+inline double NormalizedSizeBound(double query_size, double candidate_size) {
+  const double total = query_size + candidate_size;
+  if (total <= 0.0) return 0.0;
+  return kBoundSlack * (std::fabs(query_size - candidate_size) / total);
+}
+
 /// The metric-core alter cost between two flattened context nodes: the
 /// pointwise lower bound of the serving alter cost described above.
 /// Symmetric and triangle-compliant by construction (a convex combination
@@ -104,7 +122,7 @@ double CoreAlterCost(const FlatContext::Node& a, const FlatContext::Node& b,
                      double display_weight);
 
 /// Raw metric-core tree edit distance: the Zhang–Shasha DP under
-/// CoreAlterCost with the configured indel cost. Guaranteed (including in
+/// CoreAlterCost with the unit indel cost. Guaranteed (including in
 /// floating point) to be <= SessionDistance::TreeEditDistance for the same
 /// options, and a true pseudometric over contexts.
 double CoreTreeEditDistance(const FlatContext& a, const FlatContext& b,
@@ -124,8 +142,10 @@ struct IndexStats {
   uint64_t searches = 0;          ///< Search calls
   uint64_t nodes_visited = 0;     ///< tree nodes expanded
   uint64_t lb_pruned = 0;         ///< candidates pruned by the size bound
-  uint64_t structure_pruned = 0;  ///< ... by the degree/leaf-count bound
-  uint64_t hist_pruned = 0;       ///< ... by the label-histogram bound
+  /// Benchmark shims, always 0: no search stage fills them, but
+  /// perfbench/driver.cc reports them until the benchmark changes.
+  uint64_t structure_pruned = 0;
+  uint64_t hist_pruned = 0;
   uint64_t triangle_pruned = 0;   ///< ... by the cached-core triangle bound
   uint64_t core_pruned = 0;       ///< ... by a freshly computed core TED
   uint64_t subtree_pruned = 0;    ///< child subtrees skipped entirely
@@ -165,23 +185,12 @@ class VpTree {
   /// kNN vote would see. `prepared` must be the vector the tree was built
   /// over (or a value-identical copy) and `metric` must carry the same
   /// options. `stats`, when non-null, receives the search's event counts.
-  /// `bound_inflation` (>= 1.0) scales every cascade lower bound before
-  /// its threshold comparison — the approximate-serving knob
-  /// (DESIGN.md §13): 1.0 multiplies exactly and keeps the search
-  /// bitwise-exact; larger values prune more aggressively and may drop
-  /// true neighbors. `structure_stage` toggles the degree/leaf-count
-  /// cascade stage: the classifier disables it when the query and the
-  /// whole corpus are single-leaf chains (the bound is identically zero
-  /// there — pure overhead). Skipping a pruning stage is always sound:
-  /// strictly fewer prunes, identical results.
   void Search(const FlatContext& query,
               const std::vector<FlatContext>& prepared,
               const SessionDistance& metric, int k, double radius,
               int exclude, TedWorkspace* ws,
               std::vector<std::pair<double, size_t>>* out,
-              IndexStats* stats = nullptr,
-              double bound_inflation = 1.0,
-              bool structure_stage = true) const;
+              IndexStats* stats = nullptr) const;
 
   /// Number of indexed samples.
   size_t size() const { return num_samples_; }

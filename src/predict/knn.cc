@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/parallel.h"
-#include "distance/bounds.h"
 
 namespace ida {
 
@@ -197,12 +196,12 @@ FlatTrainingSet BuildFlatTrainingSet(
 IKnnClassifier::IKnnClassifier(std::vector<TrainingSample> train,
                                SessionDistance metric, KnnOptions options,
                                std::shared_ptr<const index::VpTree> index,
-                               ApproxOptions approx)
+                               ApproxOptions)
     : IKnnClassifier(BuildFlatTrainingSet(std::move(train), std::move(index)),
-                     std::move(metric), options, approx) {}
+                     std::move(metric), options) {}
 
 IKnnClassifier::IKnnClassifier(FlatTrainingSet flat, SessionDistance metric,
-                               KnnOptions options, ApproxOptions approx)
+                               KnnOptions options, ApproxOptions)
     : train_(std::make_shared<const std::vector<TrainingSample>>(
           std::move(flat.meta))),
       prepared_(std::move(flat.contexts)),
@@ -210,8 +209,6 @@ IKnnClassifier::IKnnClassifier(FlatTrainingSet flat, SessionDistance metric,
       display_phf_(std::move(flat.phf)),
       metric_(std::move(metric)),
       options_(options),
-      approx_(approx),
-      bound_inflation_(approx.BoundInflation()),
       flat_actions_(std::move(flat.actions)),
       storage_(std::move(flat.storage)) {
   // Moving the vectors kept their heap buffers, so the nodes' `incoming`
@@ -221,19 +218,12 @@ IKnnClassifier::IKnnClassifier(FlatTrainingSet flat, SessionDistance metric,
   if (flat.index != nullptr && flat.index->size() == train_->size()) {
     index_ = std::move(flat.index);
   }
-  // Per-classifier steps: open the display-id space (its token keys the
-  // display memos by small stable pool ids instead of addresses, and the
-  // metric's memo for it is shared by every workspace serving this
-  // classifier and its copies; see SessionDistance::BindPool), and the
-  // branchiness summary.
+  // Open the display-id space: its token keys the display memos by small
+  // stable pool ids instead of addresses, and the metric's memo for it is
+  // shared by every workspace serving this classifier and its copies (see
+  // SessionDistance::BindPool).
   pool_token_ = metric_.BindPool(pool_views_.size());
-  for (FlatContext& ctx : prepared_) {
-    // num_leaves <= 1 (chain or empty): the structure bound for any pair
-    // of such contexts is exactly the size bound (leaf and internal-node
-    // count differences are both dominated by the size difference).
-    if (ctx.num_leaves > 1) corpus_branched_ = true;
-    ctx.pool = pool_token_;
-  }
+  for (FlatContext& ctx : prepared_) ctx.pool = pool_token_;
 }
 
 void IKnnClassifier::ResolveQueryDisplayIds(FlatContext* query) const {
@@ -253,37 +243,33 @@ void IKnnClassifier::ResolveQueryDisplayIds(FlatContext* query) const {
 
 namespace {
 
-// Brute-force candidate collection with the O(1) prefix of the filter
-// cascade (distance/bounds.h): scans every training sample (minus
-// `exclude`), retires candidates whose size / structure / histogram lower
-// bound proves they cannot enter the result, and maintains the k nearest
-// within theta_delta in a max-heap whose root is the current pruning
-// threshold. The admitted multiset — and its (distance, index) order
-// after the final sort — is exactly what the old evaluate-everything scan
-// handed the vote: a candidate is only pruned when its bound strictly
-// exceeds min(theta_delta, current k-th best), both of which only ever
-// shrink, so no pruned candidate could have displaced a kept one (ties
-// displace only on strictly smaller (distance, index), which a strictly
-// larger distance never is). The cached-core and fresh-core stages stay
-// index-only: the brute path has no pivot distances to triangulate over,
-// and it is the comparison baseline the index is certified against.
-// Returns the candidate count to vote over (<= k); `istats`, when
-// non-null, receives the per-stage prune counters and the nearest
-// distance evaluated.
+// Brute-force candidate collection: scans every training sample (minus
+// `exclude`), retires candidates whose size bound
+// (index::NormalizedSizeBound) proves they cannot enter the result, and
+// maintains the k nearest within theta_delta in a max-heap whose root is
+// the current pruning threshold. The admitted multiset — and its
+// (distance, index) order after the final sort — is exactly what an
+// evaluate-everything scan would hand the vote: a candidate is only pruned
+// when its bound strictly exceeds min(theta_delta, current k-th best),
+// both of which only ever shrink, so no pruned candidate could have
+// displaced a kept one (ties displace only on strictly smaller
+// (distance, index), which a strictly larger distance never is). The core-TED bounds stay index-only: the
+// brute path has no pivot distances to triangulate over, and it is the
+// comparison baseline the index is certified against. Returns the
+// candidate count to vote over (<= k); `istats`, when non-null, receives
+// the prune and exact-DP counts and the nearest distance evaluated.
 size_t CollectBrute(const FlatContext& q,
                     const std::vector<FlatContext>& prepared,
                     const SessionDistance& metric, const KnnOptions& options,
-                    double bound_inflation, int exclude, TedWorkspace& ws,
+                    int exclude, TedWorkspace& ws,
                     std::vector<std::pair<double, size_t>>& order,
-                    index::IndexStats* istats, bool structure_stage) {
+                    index::IndexStats* istats) {
   order.clear();
-  const SessionDistanceOptions& dopts = metric.options();
-  const double indel = dopts.indel_cost;
   const double qn = static_cast<double>(q.size());
   const double radius = options.distance_threshold;
   const size_t k = static_cast<size_t>(options.k);
   double nearest_seen = -1.0;
-  uint64_t lb_pruned = 0, structure_pruned = 0, hist_pruned = 0, exact = 0;
+  uint64_t lb_pruned = 0, exact = 0;
   const auto tau = [&]() {
     return order.size() == k ? std::min(radius, order.front().first)
                              : radius;
@@ -291,27 +277,9 @@ size_t CollectBrute(const FlatContext& q,
   for (size_t i = 0; i < prepared.size(); ++i) {
     if (exclude >= 0 && i == static_cast<size_t>(exclude)) continue;
     const FlatContext& c = prepared[i];
-    const double cn = static_cast<double>(c.size());
-    if (bound_inflation *
-            NormalizedCascadeBound(SizeLowerBound(q, c, indel), qn, cn,
-                                   indel) >
+    if (index::NormalizedSizeBound(qn, static_cast<double>(c.size())) >
         tau()) {
       ++lb_pruned;
-      continue;
-    }
-    if (structure_stage &&
-        bound_inflation *
-                NormalizedCascadeBound(StructureLowerBound(q, c, indel), qn,
-                                       cn, indel) >
-            tau()) {
-      ++structure_pruned;
-      continue;
-    }
-    if (bound_inflation *
-            NormalizedCascadeBound(HistogramLowerBound(q, c, dopts), qn, cn,
-                                   indel) >
-        tau()) {
-      ++hist_pruned;
       continue;
     }
     const double d = metric.Distance(q, c, &ws);
@@ -331,8 +299,6 @@ size_t CollectBrute(const FlatContext& q,
   std::sort_heap(order.begin(), order.end());
   if (istats != nullptr) {
     istats->lb_pruned = lb_pruned;
-    istats->structure_pruned = structure_pruned;
-    istats->hist_pruned = hist_pruned;
     istats->exact_teds = exact;
     istats->nearest_seen = nearest_seen;
   }
@@ -347,20 +313,15 @@ Prediction IKnnClassifier::PredictPrepared(
   if (options_.k < 1 || train_->empty()) {
     return Prediction();
   }
-  // The degree/leaf-count cascade stage only ever prunes when some
-  // involved context branches (see corpus_branched_).
-  const bool structure_stage = corpus_branched_ || q.num_leaves > 1;
   if (stats == nullptr) {
     size_t count;
     if (index_ != nullptr) {
       index_->Search(q, prepared_, metric_, options_.k,
-                     options_.distance_threshold, exclude, &ws, &order,
-                     /*stats=*/nullptr, bound_inflation_, structure_stage);
+                     options_.distance_threshold, exclude, &ws, &order);
       count = order.size();
     } else {
-      count = CollectBrute(q, prepared_, metric_, options_, bound_inflation_,
-                           exclude, ws, order, /*istats=*/nullptr,
-                           structure_stage);
+      count = CollectBrute(q, prepared_, metric_, options_, exclude, ws,
+                           order, /*istats=*/nullptr);
     }
     return VoteOnSorted(order.data(), count, *train_, options_, nullptr);
   }
@@ -372,11 +333,11 @@ Prediction IKnnClassifier::PredictPrepared(
   if (index_ != nullptr) {
     index_->Search(q, prepared_, metric_, options_.k,
                    options_.distance_threshold, exclude, &ws, &order,
-                   &istats, bound_inflation_, structure_stage);
+                   &istats);
     count = order.size();
   } else {
-    count = CollectBrute(q, prepared_, metric_, options_, bound_inflation_,
-                         exclude, ws, order, &istats, structure_stage);
+    count = CollectBrute(q, prepared_, metric_, options_, exclude, ws, order,
+                         &istats);
   }
   const auto vote_start = obs::TraceNow();
   VoteStats vote;

@@ -48,32 +48,10 @@ struct KnnOptions {
   bool distance_weighted = false;
 };
 
-/// Opt-in approximate serving (DESIGN.md §13). When enabled with a recall
-/// target below 1.0, every filter-cascade lower bound is inflated by
-/// (1 + epsilon) before its threshold comparison, so candidates whose
-/// bound gap to the pruning threshold is within epsilon are dropped
-/// without an exact distance evaluation — trading a measured fraction of
-/// recall for fewer DP runs. Exact serving stays the default: with the
-/// knob off (or a recall target of 1.0) the inflation factor is exactly
-/// 1.0, multiplying by it is a floating-point identity, and predictions
-/// are bitwise those of the exact path.
-struct ApproxOptions {
-  /// Master switch; false = exact serving (the default).
-  bool enabled = false;
-  /// Relative bound inflation: a candidate is dropped when its inflated
-  /// lower bound exceeds the pruning threshold, i.e. when its true
-  /// distance is provably within (1 + epsilon) of uninteresting.
-  double epsilon = 0.1;
-  /// Label-level recall floor the operator expects versus the exact path,
-  /// in [0, 1]. A target of 1.0 demands exactness, so the inflation
-  /// degenerates to the identity and serving is bitwise-exact.
-  double recall_target = 0.95;
-
-  /// The multiplicative factor applied to every cascade bound.
-  double BoundInflation() const {
-    return (enabled && recall_target < 1.0) ? 1.0 + epsilon : 1.0;
-  }
-};
+/// Benchmark shim with no settable value: perfbench/driver.cc passes
+/// ModelConfig::approx to the classifier constructors, so the type stays
+/// until the benchmark changes. Serving is always exact.
+struct ApproxOptions {};
 
 /// Per-query observability detail, filled on request by Predict /
 /// PredictBatch (see the observability layer, DESIGN.md §10). Collecting
@@ -82,7 +60,7 @@ struct ApproxOptions {
 struct PredictStats {
   /// Distance to the nearest candidate neighbor (-1 with an empty
   /// training set). A value above theta_delta explains an abstention.
-  /// Both serving paths run the filter cascade, so an abstaining query
+  /// Both serving paths prune with lower bounds, so an abstaining query
   /// reports the nearest distance actually *evaluated* — an upper bound
   /// on the true nearest, since pruned candidates are never measured;
   /// when any neighbor is admitted the value is exact and identical
@@ -91,7 +69,7 @@ struct PredictStats {
   /// Neighbors within theta_delta among the k nearest (0 = abstained).
   size_t admitted_neighbors = 0;
   /// Exact distance evaluations performed: the training-set size minus
-  /// the cascade's prunes on the brute-force path, the (further) pruned
+  /// the size-bound prunes on the brute-force path, the (further) pruned
   /// count on the indexed path.
   size_t distance_evals = 0;
   /// Phase wall times of the query: query flattening, the distance loop
@@ -104,11 +82,10 @@ struct PredictStats {
   TedTally ted;
   /// True when the query was served through the VP-tree index.
   bool used_index = false;
-  /// Search counters for this query. On the brute path the per-candidate
-  /// cascade counters (lb/structure/hist_pruned, exact_teds) are still
-  /// filled; the tree-only counters (searches, nodes_visited,
-  /// triangle/core/subtree prunes, core_teds) stay zero and nothing is
-  /// flushed to the `ida.index.*` metrics.
+  /// Search counters for this query. On the brute path lb_pruned and
+  /// exact_teds are still filled; the tree-only counters (searches,
+  /// nodes_visited, triangle/core/subtree prunes, core_teds) stay zero and
+  /// nothing is flushed to the `ida.index.*` metrics.
   index::IndexStats index;
 };
 
@@ -209,20 +186,20 @@ class IKnnClassifier {
   /// In-memory construction: delegates through BuildFlatTrainingSet.
   /// `index`, when non-null, must have been built over exactly this
   /// training set (same order); it is ignored if its size disagrees.
-  /// `approx` configures the opt-in approximate serving mode; the default
-  /// is exact (bitwise-deterministic) serving.
+  /// The trailing ApproxOptions is a benchmark shim and is ignored.
   IKnnClassifier(std::vector<TrainingSample> train, SessionDistance metric,
                  KnnOptions options,
                  std::shared_ptr<const index::VpTree> index = nullptr,
-                 ApproxOptions approx = {});
+                 ApproxOptions = {});
 
   /// Adopts a flat training set as is: no context re-preparation, no
   /// display materialization, no index rebuild. A set mapped from an
   /// artifact serves bitwise what the in-memory set it was written from
   /// serves (the distance layer reads only DisplayView content, which
-  /// both backings expose identically).
+  /// both backings expose identically). The trailing ApproxOptions is a
+  /// benchmark shim and is ignored.
   IKnnClassifier(FlatTrainingSet flat, SessionDistance metric,
-                 KnnOptions options, ApproxOptions approx = {});
+                 KnnOptions options, ApproxOptions = {});
 
   /// Predicts the dominant-measure label for a query n-context. `stats`,
   /// when non-null, receives the query's observability detail (phase
@@ -272,7 +249,6 @@ class IKnnClassifier {
 
   const std::vector<TrainingSample>& train() const { return *train_; }
   const KnnOptions& options() const { return options_; }
-  const ApproxOptions& approx() const { return approx_; }
   /// The attached serving index (nullptr = brute-force scan).
   const index::VpTree* index() const { return index_.get(); }
 
@@ -296,17 +272,8 @@ class IKnnClassifier {
   /// failed; queries then stay unresolved (slower, identical
   /// predictions).
   std::optional<PerfectHash> display_phf_;
-  /// True when any training context branches (num_leaves > 1). When the
-  /// whole corpus is single-leaf chains (or empty) AND the query is too,
-  /// the degree/leaf-count cascade stage degenerates to the size bound
-  /// that already ran, so both search paths skip it (identical results,
-  /// strictly less work). Computed once at construction.
-  bool corpus_branched_ = false;
   SessionDistance metric_;
   KnnOptions options_;
-  ApproxOptions approx_;
-  /// approx_.BoundInflation(), resolved once (exactly 1.0 in exact mode).
-  double bound_inflation_ = 1.0;
   std::shared_ptr<const index::VpTree> index_;
   /// The interned incoming-action pool the prepared contexts' nodes point
   /// into, and the mapping (if any) backing every display view and the

@@ -4,12 +4,13 @@
 // overlap, misalignment, trailing bytes), per-section checksum behavior
 // under the eager/lazy policies, and bitwise prediction equivalence
 // between the mapped artifact and the in-memory (heap) model it was
-// written from, in brute-force, indexed and approximate modes.
+// written from, in brute-force and indexed modes.
 #include "engine/artifact_v4.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -307,13 +308,29 @@ TEST_F(ArtifactV4Test, MappedAndHeapPredictionsBitwiseIdenticalBrute) {
   ExpectBitwiseEqual(PredictAll(mapped), PredictAll(InMemory(brute)));
 }
 
-TEST_F(ArtifactV4Test, MappedAndHeapPredictionsBitwiseIdenticalApprox) {
-  const engine::TrainedModel approx = Variant([](ModelConfig& c) {
-    c.approx.enabled = true;
-    c.approx.epsilon = 0.1;
-  });
-  engine::Predictor mapped = MustLoad(approx.Serialize());
-  ExpectBitwiseEqual(PredictAll(mapped), PredictAll(InMemory(approx)));
+TEST_F(ArtifactV4Test, ResealedNanDisplayWeightRejected) {
+  // A CFG section edited and resealed: every checksum holds, so config
+  // validation is what must keep a NaN alter-cost weight out of the DP.
+  // The weight is located by its bits, from a distinctive value.
+  constexpr double kMarker = 0.4375;
+  std::string bytes =
+      Variant([](ModelConfig& c) { c.distance.display_weight = kMarker; })
+          .Serialize();
+  const size_t idx = FindEntryIndex(bytes, v4::kTagConfig);
+  const v4::SectionEntry e = ReadEntry(bytes, idx);
+  const std::string marker(reinterpret_cast<const char*>(&kMarker),
+                           sizeof(kMarker));
+  const size_t at = bytes.find(marker, e.offset);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_LE(at + sizeof(kMarker), e.offset + e.length);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::memcpy(&bytes[at], &nan, sizeof(nan));
+  FixSectionChecksum(&bytes, idx);
+
+  auto r = LoadBytes(bytes);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("display_weight"), std::string::npos)
+      << r.status().ToString();
 }
 
 TEST_F(ArtifactV4Test, MappedPredictionsMatchInMemoryModel) {

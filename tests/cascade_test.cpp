@@ -1,12 +1,11 @@
 // Pins the two halves of the TED speed push (DESIGN.md §13):
 //
-//  * CascadeBounds — the staged lower-bound chain the serving-time filter
-//    cascade (distance/bounds.h) relies on, over real generator-produced
-//    training contexts: size <= structure, size <= histogram, every stage
-//    <= the metric-core TED (with the same 1e-9 relative slack the index
-//    deflates its bounds by), core <= exact TED bitwise, and the
-//    normalized deflated bound never exceeding the serving distance it
-//    prunes against.
+//  * CascadeBounds — the lower-bound chain the serving-time search
+//    (index/vptree.h) relies on, over real generator-produced training
+//    contexts: size <= the metric-core TED (with the same 1e-9 relative
+//    slack the index deflates its bounds by), core <= exact TED bitwise,
+//    and the normalized size bound never exceeding the serving distance
+//    it prunes against.
 //
 //  * KernelEquivalence — the restructured Zhang–Shasha kernel
 //    (distance/zhang_shasha.h: alter-table precompute, two-pass rows,
@@ -18,12 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <random>
 #include <utility>
 #include <vector>
 
-#include "distance/bounds.h"
 #include "distance/ted.h"
 #include "distance/zhang_shasha.h"
 #include "engine/engine.h"
@@ -79,71 +78,61 @@ std::vector<FlatContext>* CascadeBoundsTest::prepared_ = nullptr;
 
 TEST_F(CascadeBoundsTest, StagesAreOrderedAndBoundedByTheCoreTed) {
   SessionDistance metric = Metric();
-  const double indel = metric.options().indel_cost;
   TedWorkspace ws;
   const size_t n = std::min<size_t>(prepared_->size(), 40);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < n; ++j) {
       const FlatContext& a = (*prepared_)[i];
       const FlatContext& b = (*prepared_)[j];
-      const double size_lb = SizeLowerBound(a, b, indel);
-      const double structure_lb = StructureLowerBound(a, b, indel);
-      const double hist_lb = HistogramLowerBound(a, b, metric.options());
+      // Raw size bound: indels are the only edits that change the node
+      // count.
+      const double size_lb =
+          kIndelCost * std::fabs(static_cast<double>(a.size()) -
+                                 static_cast<double>(b.size()));
       const double core = index::CoreTreeEditDistance(a, b, metric.options(),
                                                       &ws);
       const double exact = metric.TreeEditDistance(a, b, &ws);
-      // The cheap stages tighten monotonically (these hold exactly, no
-      // floating-point caveats: structure maxes over a superset, and the
-      // histogram bound adds a nonnegative rounded term to the size
-      // bound).
-      EXPECT_LE(size_lb, structure_lb) << "(" << i << "," << j << ")";
-      EXPECT_LE(size_lb, hist_lb) << "(" << i << "," << j << ")";
-      // Every stage lower-bounds the metric core, up to the same 1e-9
-      // relative slack the serving layers deflate their bounds by
-      // (kCascadeBoundSlack) before comparing against a threshold.
-      EXPECT_LE(structure_lb, core * (1.0 + 1e-9))
-          << "structure overshoots core at (" << i << "," << j << ")";
-      EXPECT_LE(hist_lb, core * (1.0 + 1e-9))
-          << "histogram overshoots core at (" << i << "," << j << ")";
+      // The size bound lower-bounds the metric core, up to the same 1e-9
+      // relative slack the search deflates its bounds by (kBoundSlack)
+      // before comparing against a threshold.
+      EXPECT_LE(size_lb, core * (1.0 + 1e-9))
+          << "size overshoots core at (" << i << "," << j << ")";
       // And the core never exceeds the exact serving TED — bitwise, no
-      // slack: this is the floating-point guarantee the whole cascade
-      // chains through.
+      // slack: this is the floating-point guarantee the triangle and
+      // core-direct bounds chain through.
       EXPECT_LE(core, exact) << "core overshoots exact at (" << i << ","
                              << j << ")";
-      EXPECT_GE(size_lb, 0.0);
       if (i == j) {
         EXPECT_EQ(size_lb, 0.0);
-        EXPECT_EQ(structure_lb, 0.0);
-        EXPECT_EQ(hist_lb, 0.0);
+        EXPECT_EQ(core, 0.0);
       }
     }
   }
 }
 
 TEST_F(CascadeBoundsTest, NormalizedBoundNeverExceedsTheServingDistance) {
-  // What the serving layers actually compare: the deflated normalized
+  // What both serving paths actually compare: the deflated normalized size
   // bound versus the normalized session distance. A bound above the
   // distance would prune an admissible neighbor and break the bitwise
   // equivalence contract.
   SessionDistance metric = Metric();
-  const double indel = metric.options().indel_cost;
   TedWorkspace ws;
   const size_t n = std::min<size_t>(prepared_->size(), 40);
+  size_t positive = 0;
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < n; ++j) {
       const FlatContext& a = (*prepared_)[i];
       const FlatContext& b = (*prepared_)[j];
       const double d = metric.Distance(a, b, &ws);
-      const double qn = static_cast<double>(a.size());
-      const double cn = static_cast<double>(b.size());
-      for (double raw :
-           {SizeLowerBound(a, b, indel), StructureLowerBound(a, b, indel),
-            HistogramLowerBound(a, b, metric.options())}) {
-        EXPECT_LE(NormalizedCascadeBound(raw, qn, cn, indel), d)
-            << "(" << i << "," << j << ")";
-      }
+      const double bound =
+          index::NormalizedSizeBound(static_cast<double>(a.size()),
+                                     static_cast<double>(b.size()));
+      EXPECT_LE(bound, d) << "(" << i << "," << j << ")";
+      if (bound > 0.0) ++positive;
     }
   }
+  // The property is vacuous if every pair has the same node count.
+  EXPECT_GT(positive, 0u);
 }
 
 // ---------------------------------------------------------------------------

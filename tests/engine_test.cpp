@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -196,8 +197,7 @@ TEST_F(EngineTest, LoocvMetricsUnchangedAfterRoundTrip) {
   ASSERT_TRUE(flat.ok()) << flat.status().ToString();
   const std::vector<TrainingSample> meta = flat->meta;
   const IKnnClassifier loaded(std::move(*flat),
-                              SessionDistance(config->distance), config->knn,
-                              config->approx);
+                              SessionDistance(config->distance), config->knn);
   const int num_classes = static_cast<int>(config->measures.size());
 
   auto before = engine::EvaluateLoocv(*model_);
@@ -315,8 +315,8 @@ TEST_F(EngineTest, BadMagicRejected) {
 TEST_F(EngineTest, FormatVersionMismatchRejected) {
   // The version u32 sits right after the 8 magic bytes and is checked
   // before anything else is interpreted: a future version, and a file in
-  // the previous (version-4) format, are both rejected by name.
-  for (uint32_t version : {engine::kArtifactVersion + 1, uint32_t{4}}) {
+  // the previous (version-5) format, are both rejected by name.
+  for (uint32_t version : {engine::kArtifactVersion + 1, uint32_t{5}}) {
     std::string bytes = model_->Serialize();
     std::memcpy(&bytes[8], &version, sizeof(version));
     auto mismatched = LoadBytes(bytes);
@@ -388,6 +388,16 @@ TEST_F(EngineTest, ValidateConfigRejectsBadSettings) {
   EXPECT_FALSE(engine::ValidateConfig(config).ok());
   config = TestConfig();
   config.distance.display_weight = 1.5;
+  EXPECT_FALSE(engine::ValidateConfig(config).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  config = TestConfig();
+  config.distance.display_weight = nan;
+  EXPECT_FALSE(engine::ValidateConfig(config).ok());
+  config = TestConfig();
+  config.knn.distance_threshold = nan;
+  EXPECT_FALSE(engine::ValidateConfig(config).ok());
+  config = TestConfig();
+  config.knn.distance_threshold = -0.1;
   EXPECT_FALSE(engine::ValidateConfig(config).ok());
   EXPECT_TRUE(engine::ValidateConfig(TestConfig()).ok());
 }

@@ -47,14 +47,11 @@ void ExpectSameContext(const NContext& got, const NContext& want,
   EXPECT_EQ(got.Fingerprint(), want.Fingerprint()) << where;
 }
 
-// The prepared summaries the serving path consumes must match too.
+// The prepared arrays the serving path consumes must match too.
 void ExpectSameFlat(const FlatContext& got, const FlatContext& want,
                     const std::string& where) {
   ASSERT_EQ(got.post.size(), want.post.size()) << where;
   EXPECT_EQ(got.keyroots, want.keyroots) << where;
-  EXPECT_EQ(got.num_leaves, want.num_leaves) << where;
-  EXPECT_EQ(got.kind_hist, want.kind_hist) << where;
-  EXPECT_EQ(got.action_hist, want.action_hist) << where;
   for (size_t i = 0; i < want.post.size(); ++i) {
     EXPECT_EQ(got.post[i].display.identity, want.post[i].display.identity)
         << where << " post " << i;

@@ -6,6 +6,7 @@
 // what is computed.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -183,24 +184,39 @@ TEST(IndexEquivalenceSeeds, LoocvAgreesUnderAsymmetricFilterDistances) {
 }
 
 TEST(IndexEquivalenceSeeds, RandomizedLogsStayEquivalent) {
-  // Fresh benchmark + fresh model per seed: train indexed, serve both
-  // ways, compare every training-context prediction bitwise.
-  for (uint64_t seed : {5u, 99u}) {
-    auto bench = GenerateBenchmark(SmallGeneratorOptions(seed));
-    ASSERT_TRUE(bench.ok());
-    engine::Trainer trainer(EquivConfig(1, /*use_index=*/true));
-    auto model = trainer.Fit(bench->log, bench->registry);
-    ASSERT_TRUE(model.ok()) << model.status().ToString();
-    ASSERT_NE(model->index(), nullptr);
-    engine::TrainedModel brute_model(EquivConfig(1, /*use_index=*/false),
-                                     model->samples(), nullptr);
-    auto indexed = engine::Predictor::Load(*model);
-    auto brute = engine::Predictor::Load(brute_model);
-    ASSERT_TRUE(indexed.ok());
-    ASSERT_TRUE(brute.ok());
-    for (size_t qi = 0; qi < model->size(); ++qi) {
-      ExpectBitwiseEqual(indexed->Predict(model->samples()[qi].context),
-                         brute->Predict(model->samples()[qi].context), qi);
+  // Fresh benchmark + fresh model per seed and context size: train
+  // indexed, serve both ways, compare every training-context prediction
+  // bitwise. n = 3 contexts are paths; n = 11 contexts branch, which is
+  // where the search's bounds are least tight.
+  for (const int n : {3, 11}) {
+    size_t branched = 0;
+    for (uint64_t seed : {5u, 99u}) {
+      SCOPED_TRACE("n = " + std::to_string(n) + ", seed " +
+                   std::to_string(seed));
+      auto bench = GenerateBenchmark(SmallGeneratorOptions(seed));
+      ASSERT_TRUE(bench.ok());
+      ModelConfig config = EquivConfig(1, /*use_index=*/true);
+      config.n_context_size = n;
+      engine::Trainer trainer(config);
+      auto model = trainer.Fit(bench->log, bench->registry);
+      ASSERT_TRUE(model.ok()) << model.status().ToString();
+      ASSERT_NE(model->index(), nullptr);
+      config.use_index = false;
+      engine::TrainedModel brute_model(config, model->samples(), nullptr);
+      auto indexed = engine::Predictor::Load(*model);
+      auto brute = engine::Predictor::Load(brute_model);
+      ASSERT_TRUE(indexed.ok());
+      ASSERT_TRUE(brute.ok());
+      for (size_t qi = 0; qi < model->size(); ++qi) {
+        const NContext& query = model->samples()[qi].context;
+        ExpectBitwiseEqual(indexed->Predict(query), brute->Predict(query),
+                           qi);
+        if (SessionDistance::Prepare(query).keyroots.size() > 1) ++branched;
+      }
+    }
+    // A context with more than one keyroot has a node with two children.
+    if (n == 11) {
+      EXPECT_GT(branched, 0u);
     }
   }
 }
