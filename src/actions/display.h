@@ -75,7 +75,7 @@ struct DisplayView {
 /// FNV-1a fingerprint of a view's content-distance-relevant fields (kind,
 /// row count, column, labels, raw value bits). Equal content yields equal
 /// fingerprints regardless of the backing (heap or flat), so fit-time
-/// fingerprints index the artifact's perfect-hash display table and
+/// fingerprints index the artifact's sorted display content table and
 /// query-time fingerprints probe it. Collisions are possible; callers
 /// confirm with ContentEquals.
 uint64_t ContentFingerprint(const DisplayView& v);

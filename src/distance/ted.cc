@@ -387,40 +387,33 @@ double SessionDistance::Distance(const NContext& a, const NContext& b) const {
   return ted / (kIndelCost * static_cast<double>(total));
 }
 
-void FlushTedTally(const TedTally& tally, const obs::ObsConfig& obs) {
+TedCounters::TedCounters(const obs::ObsConfig& obs) {
   if (!obs.metrics_on()) return;
   obs::MetricsRegistry& reg = obs.reg();
-  if (tally.ted_calls > 0) {
-    reg.GetCounter("ida.distance.ted.calls")->Add(tally.ted_calls);
-  }
-  if (tally.display_l1_hits > 0) {
-    reg.GetCounter("ida.distance.display_cache.l1_hits")
-        ->Add(tally.display_l1_hits);
-  }
-  if (tally.display_shared_hits > 0) {
-    reg.GetCounter("ida.distance.display_cache.shared_hits")
-        ->Add(tally.display_shared_hits);
-  }
-  if (tally.display_computes > 0) {
-    reg.GetCounter("ida.distance.display_cache.computes")
-        ->Add(tally.display_computes);
-  }
-  if (tally.display_memo_lookups > 0) {
-    reg.GetCounter("ida.distance.display_memo.lookups")
-        ->Add(tally.display_memo_lookups);
-  }
-  if (tally.display_memo_probes > 0) {
-    reg.GetCounter("ida.distance.display_memo.probes")
-        ->Add(tally.display_memo_probes);
-  }
-  if (tally.workspace_grows > 0) {
-    reg.GetCounter("ida.distance.workspace.grows")
-        ->Add(tally.workspace_grows);
-  }
-  if (tally.workspace_reuses > 0) {
-    reg.GetCounter("ida.distance.workspace.reuses")
-        ->Add(tally.workspace_reuses);
-  }
+  ted_calls = reg.GetCounter("ida.distance.ted.calls");
+  display_l1_hits = reg.GetCounter("ida.distance.display_cache.l1_hits");
+  display_shared_hits =
+      reg.GetCounter("ida.distance.display_cache.shared_hits");
+  display_computes = reg.GetCounter("ida.distance.display_cache.computes");
+  display_memo_lookups = reg.GetCounter("ida.distance.display_memo.lookups");
+  display_memo_probes = reg.GetCounter("ida.distance.display_memo.probes");
+  workspace_grows = reg.GetCounter("ida.distance.workspace.grows");
+  workspace_reuses = reg.GetCounter("ida.distance.workspace.reuses");
+}
+
+void FlushTedTally(const TedTally& tally, const TedCounters& counters) {
+  if (counters.ted_calls == nullptr) return;
+  const auto add = [](obs::Counter* c, uint64_t delta) {
+    if (delta > 0) c->Add(delta);
+  };
+  add(counters.ted_calls, tally.ted_calls);
+  add(counters.display_l1_hits, tally.display_l1_hits);
+  add(counters.display_shared_hits, tally.display_shared_hits);
+  add(counters.display_computes, tally.display_computes);
+  add(counters.display_memo_lookups, tally.display_memo_lookups);
+  add(counters.display_memo_probes, tally.display_memo_probes);
+  add(counters.workspace_grows, tally.workspace_grows);
+  add(counters.workspace_reuses, tally.workspace_reuses);
 }
 
 std::vector<std::vector<double>> BuildDistanceMatrix(
@@ -495,7 +488,8 @@ std::vector<std::vector<double>> BuildDistanceMatrix(
     for (size_t w = 0; w < worker_seconds.size(); ++w) {
       if (worker_seconds[w] > 0.0) shard_hist->Observe(worker_seconds[w]);
     }
-    for (const TedWorkspace& ws : scratch) FlushTedTally(ws.tally, obs);
+    const TedCounters counters(obs);
+    for (const TedWorkspace& ws : scratch) FlushTedTally(ws.tally, counters);
   }
   return d;
 }

@@ -505,11 +505,28 @@ std::vector<std::vector<double>> BuildDistanceMatrix(
     const std::vector<NContext>& contexts, const SessionDistance& metric,
     ThreadPool* pool = nullptr, const obs::ObsConfig& obs = {});
 
-/// Adds a tally delta onto the `ida.distance.*` counters of `obs`'s
-/// registry (ted.calls, display_cache.{l1_hits,shared_hits,computes},
-/// display_memo.{lookups,probes}, workspace.{grows,reuses}). No-op when
-/// `obs` has metrics off or the tally is all zeros. Thread-safe (counter
-/// adds are atomic).
-void FlushTedTally(const TedTally& tally, const obs::ObsConfig& obs);
+/// The `ida.distance.*` counters a TedTally flushes into (ted.calls,
+/// display_cache.{l1_hits,shared_hits,computes},
+/// display_memo.{lookups,probes}, workspace.{grows,reuses}), looked up
+/// once so a flush is plain atomic adds. All null when metrics are off.
+struct TedCounters {
+  TedCounters() = default;
+  /// Resolves the handles in `obs`'s registry (null when metrics are off).
+  explicit TedCounters(const obs::ObsConfig& obs);
+
+  obs::Counter* ted_calls = nullptr;
+  obs::Counter* display_l1_hits = nullptr;
+  obs::Counter* display_shared_hits = nullptr;
+  obs::Counter* display_computes = nullptr;
+  obs::Counter* display_memo_lookups = nullptr;
+  obs::Counter* display_memo_probes = nullptr;
+  obs::Counter* workspace_grows = nullptr;
+  obs::Counter* workspace_reuses = nullptr;
+};
+
+/// Adds a tally delta onto `counters`, skipping zero fields. No-op when
+/// the counters are unresolved (metrics off). Thread-safe (counter adds
+/// are atomic).
+void FlushTedTally(const TedTally& tally, const TedCounters& counters);
 
 }  // namespace ida

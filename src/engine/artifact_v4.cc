@@ -356,9 +356,7 @@ struct CfgInfo {
   int32_t leaf_size = 0;
   uint32_t num_tree_nodes = 0;
   uint64_t num_tree_entries = 0;
-  bool has_phf = false;
-  uint64_t phf_buckets = 0;
-  uint64_t phf_keys = 0;
+  uint32_t num_display_keys = 0;
 };
 
 // Verifies the CFG section's checksum and parses it (section 0, always).
@@ -386,11 +384,7 @@ Result<CfgInfo> ParseCfg(const Directory& dir) {
     info.num_tree_nodes = r.U32();
     info.num_tree_entries = r.U64();
   }
-  info.has_phf = r.U8() != 0;
-  if (info.has_phf) {
-    info.phf_buckets = r.U64();
-    info.phf_keys = r.U64();
-  }
+  info.num_display_keys = r.U32();
   IDA_RETURN_NOT_OK(r.status());
   if (r.remaining() != 0) {
     return Corrupt("trailing CFG section bytes");
@@ -403,15 +397,11 @@ Status CheckTags(const Directory& dir, const CfgInfo& info) {
   std::vector<uint32_t> want = {
       kTagConfig,   kTagActions,  kTagStrHeap, kTagDblHeap,
       kTagLabelRefs, kTagDisplays, kTagNodes,  kTagContexts,
-      kTagKeyroots, kTagSamples,  kTagLabelHeap};
+      kTagKeyroots, kTagSamples,  kTagLabelHeap, kTagDisplayKeys,
+      kTagDisplayIds};
   if (info.has_index) {
     want.push_back(kTagTreeNodes);
     want.push_back(kTagTreeEntries);
-  }
-  if (info.has_phf) {
-    want.push_back(kTagPhfDisp);
-    want.push_back(kTagPhfKeys);
-    want.push_back(kTagPhfValues);
   }
   if (dir.entries.size() != want.size()) {
     return Corrupt("unexpected section count " +
@@ -460,18 +450,15 @@ Status CheckLengths(const Directory& dir, const CfgInfo& info) {
       expect(kTagSamples, info.num_samples, sizeof(SampleRecord)));
   IDA_RETURN_NOT_OK(
       expect(kTagLabelHeap, info.num_label_ints, sizeof(int32_t)));
+  IDA_RETURN_NOT_OK(
+      expect(kTagDisplayKeys, info.num_display_keys, sizeof(uint64_t)));
+  IDA_RETURN_NOT_OK(
+      expect(kTagDisplayIds, info.num_display_keys, sizeof(uint32_t)));
   if (info.has_index) {
     IDA_RETURN_NOT_OK(
         expect(kTagTreeNodes, info.num_tree_nodes, sizeof(index::FlatNode)));
     IDA_RETURN_NOT_OK(expect(kTagTreeEntries, info.num_tree_entries,
                              sizeof(index::VpEntry)));
-  }
-  if (info.has_phf) {
-    IDA_RETURN_NOT_OK(
-        expect(kTagPhfDisp, info.phf_buckets, sizeof(uint32_t)));
-    IDA_RETURN_NOT_OK(expect(kTagPhfKeys, info.phf_keys, sizeof(uint64_t)));
-    IDA_RETURN_NOT_OK(
-        expect(kTagPhfValues, info.phf_keys, sizeof(uint32_t)));
   }
   return Status::OK();
 }
@@ -549,7 +536,7 @@ Status CheckContext(const FlatContext& fc, uint32_t context,
 
 std::string Serialize(const TrainedModel& model) {
   // The exact set the in-memory classifier serves: same pools, same ids,
-  // same prepared contexts and perfect hash.
+  // same prepared contexts and content table.
   const FlatTrainingSet flat =
       BuildFlatTrainingSet(model.samples(), model.index());
 
@@ -637,8 +624,6 @@ std::string Serialize(const TrainedModel& model) {
 
   const index::VpTree* tree = flat.index.get();
   const bool has_index = tree != nullptr && !tree->empty();
-  const std::optional<PerfectHash>& phf = flat.phf;
-  const bool has_phf = phf.has_value();
 
   Writer cfg_w;
   WriteConfig(model.config(), &cfg_w);
@@ -657,11 +642,7 @@ std::string Serialize(const TrainedModel& model) {
     cfg_w.U32(static_cast<uint32_t>(tree->num_nodes()));
     cfg_w.U64(tree->num_entries());
   }
-  cfg_w.U8(has_phf ? 1 : 0);
-  if (has_phf) {
-    cfg_w.U64(phf->displacements().size());
-    cfg_w.U64(phf->slot_keys().size());
-  }
+  cfg_w.U32(static_cast<uint32_t>(flat.display_keys.size()));
 
   std::vector<SectionBuf> sections;
   sections.push_back({kTagConfig, cfg_w.Take()});
@@ -683,23 +664,16 @@ std::string Serialize(const TrainedModel& model) {
       {kTagSamples, PodBytes(sample_recs.data(), sample_recs.size())});
   sections.push_back(
       {kTagLabelHeap, PodBytes(label_heap.data(), label_heap.size())});
+  sections.push_back({kTagDisplayKeys, PodBytes(flat.display_keys.data(),
+                                                flat.display_keys.size())});
+  sections.push_back({kTagDisplayIds, PodBytes(flat.display_ids.data(),
+                                               flat.display_ids.size())});
   if (has_index) {
     sections.push_back(
         {kTagTreeNodes, PodBytes(tree->nodes_data(), tree->num_nodes())});
     sections.push_back(
         {kTagTreeEntries,
          PodBytes(tree->entries_data(), tree->num_entries())});
-  }
-  if (has_phf) {
-    sections.push_back({kTagPhfDisp,
-                        PodBytes(phf->displacements().data(),
-                                 phf->displacements().size())});
-    sections.push_back(
-        {kTagPhfKeys,
-         PodBytes(phf->slot_keys().data(), phf->slot_keys().size())});
-    sections.push_back(
-        {kTagPhfValues,
-         PodBytes(phf->slot_values().data(), phf->slot_values().size())});
   }
   return AssembleSections(std::move(sections));
 }
@@ -911,28 +885,27 @@ Result<FlatTrainingSet> LoadServing(
     out.index = std::make_shared<const index::VpTree>(std::move(tree));
   }
 
-  if (info.has_phf) {
-    std::vector<uint32_t> disp(info.phf_buckets);
-    std::memcpy(disp.data(), dir.data(*dir.Find(kTagPhfDisp)),
-                info.phf_buckets * sizeof(uint32_t));
-    std::vector<uint64_t> keys(info.phf_keys);
-    std::memcpy(keys.data(), dir.data(*dir.Find(kTagPhfKeys)),
-                info.phf_keys * sizeof(uint64_t));
-    std::vector<uint32_t> values(info.phf_keys);
-    std::memcpy(values.data(), dir.data(*dir.Find(kTagPhfValues)),
-                info.phf_keys * sizeof(uint32_t));
-    // The stored values index the display pool unchecked on the serving
-    // hot path, so bound them here; key corruption, by contrast, is safe
-    // (lookups verify the stored key and degrade to "unresolved").
-    for (uint32_t v : values) {
-      if (v >= info.num_displays) {
-        return Corrupt("perfect-hash value " + std::to_string(v) +
-                       " out of range");
-      }
+  // The display content table. The resolver indexes the pool with its
+  // ids unchecked and binary-searches its keys, so both are validated
+  // here whatever the checksum policy; a key corrupted in order is safe
+  // (lookups verify content and degrade to "unresolved"). The arrays are
+  // small (one entry per distinct display) and are copied off the mapping.
+  const uint64_t* keys =
+      reinterpret_cast<const uint64_t*>(dir.data(*dir.Find(kTagDisplayKeys)));
+  const uint32_t* ids =
+      reinterpret_cast<const uint32_t*>(dir.data(*dir.Find(kTagDisplayIds)));
+  for (uint32_t i = 0; i < info.num_display_keys; ++i) {
+    if (i > 0 && keys[i] <= keys[i - 1]) {
+      return Corrupt("display-table keys are not strictly ascending at " +
+                     std::to_string(i));
     }
-    out.phf = PerfectHash::FromParts(std::move(disp), std::move(keys),
-                                     std::move(values));
+    if (ids[i] >= info.num_displays) {
+      return Corrupt("display-table id " + std::to_string(ids[i]) +
+                     " out of range");
+    }
   }
+  out.display_keys.assign(keys, keys + info.num_display_keys);
+  out.display_ids.assign(ids, ids + info.num_display_keys);
 
   out.storage = std::move(art);
   return out;

@@ -1,9 +1,9 @@
-// The model artifact format (DESIGN.md §16, format version 6; the file
+// The model artifact format (DESIGN.md §16, format version 7; the file
 // and namespace keep the name of the version that introduced the layout):
 // a flat, little-endian, zero-copy layout that a read-only file mapping
 // serves in place.
 //
-//   "IDAMODEL" | u32 version=6 | u32 section_count
+//   "IDAMODEL" | u32 version=7 | u32 section_count
 //   | section_count x SectionEntry {tag, reserved, offset, length, checksum}
 //   | u64 directory checksum (FNV-1a over everything above)
 //   | sections, each at an 8-byte-aligned absolute offset, zero-padded
@@ -15,7 +15,7 @@
 // anywhere in the file — header, payload or padding — fails either the
 // directory checksum or a section checksum. Every structure the serving
 // path touches (interned display pool, flattened training contexts,
-// labels, VP-tree node/entry arrays, perfect-hash display memo) is a
+// labels, sorted display content table, VP-tree node/entry arrays) is a
 // flat, position-independent, index-based section: the loader validates
 // the directory and structure, then wraps the bytes without parsing them.
 // The writer serializes exactly the FlatTrainingSet the in-memory
@@ -25,7 +25,8 @@
 // Integrity policy: the loader verifies the directory and CFG checksums
 // always, and the remaining sections per ModelConfig::load.eager_checksums
 // (hot reload forces eager); structural validation (every index
-// bounds-checked, slices tiled, the tree and PHF shape-checked) runs
+// bounds-checked, slices tiled, the tree shape-checked, the content
+// table's keys strictly ascending and its ids inside the pool) runs
 // unconditionally, so a corrupt lazily-mapped artifact can degrade
 // predictions but never memory safety.
 #pragma once
@@ -51,10 +52,10 @@ constexpr uint32_t Tag(char a, char b, char c, char d) {
          static_cast<uint32_t>(static_cast<uint8_t>(d)) << 24;
 }
 
-/// Section tags, in their mandatory file order. CFG..LBLH are always
+/// Section tags, in their mandatory file order. CFG..DIDS are always
 /// present (possibly zero-length); VPTN/VPTE appear only when the model
-/// carries an index, PHFD/PHFK/PHFV only when the display perfect hash
-/// built at write time.
+/// carries an index. DKEY/DIDS are the sorted display content table
+/// (FlatTrainingSet::display_keys / display_ids).
 inline constexpr uint32_t kTagConfig = Tag('C', 'F', 'G', ' ');
 inline constexpr uint32_t kTagActions = Tag('A', 'C', 'T', 'S');
 inline constexpr uint32_t kTagStrHeap = Tag('D', 'S', 'T', 'R');
@@ -66,11 +67,10 @@ inline constexpr uint32_t kTagContexts = Tag('C', 'T', 'X', 'H');
 inline constexpr uint32_t kTagKeyroots = Tag('K', 'E', 'Y', 'R');
 inline constexpr uint32_t kTagSamples = Tag('L', 'B', 'L', 'S');
 inline constexpr uint32_t kTagLabelHeap = Tag('L', 'B', 'L', 'H');
+inline constexpr uint32_t kTagDisplayKeys = Tag('D', 'K', 'E', 'Y');
+inline constexpr uint32_t kTagDisplayIds = Tag('D', 'I', 'D', 'S');
 inline constexpr uint32_t kTagTreeNodes = Tag('V', 'P', 'T', 'N');
 inline constexpr uint32_t kTagTreeEntries = Tag('V', 'P', 'T', 'E');
-inline constexpr uint32_t kTagPhfDisp = Tag('P', 'H', 'F', 'D');
-inline constexpr uint32_t kTagPhfKeys = Tag('P', 'H', 'F', 'K');
-inline constexpr uint32_t kTagPhfValues = Tag('P', 'H', 'F', 'V');
 
 /// One directory entry: where a section lives and what its padded byte
 /// range hashes to. `offset` is absolute, 8-aligned; `length` is the

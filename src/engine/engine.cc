@@ -202,6 +202,7 @@ Predictor::Predictor(ModelConfig config, MeasureSet measures,
         reg.GetCounter("ida.index.subtree_pruned");
     metrics_.index_core_teds = reg.GetCounter("ida.index.core_teds");
     metrics_.index_exact_teds = reg.GetCounter("ida.index.exact_teds");
+    metrics_.ted = TedCounters(obs_);
   }
 }
 
@@ -299,7 +300,7 @@ void Predictor::RecordPredict(const Prediction& p, const PredictStats& stats,
     if (stats.nearest_distance >= 0.0) {
       metrics_.nearest_distance->Observe(stats.nearest_distance);
     }
-    FlushTedTally(stats.ted, obs_);
+    FlushTedTally(stats.ted, metrics_.ted);
     if (stats.used_index) RecordIndexStats(stats.index);
   }
   if (obs_.trace_on()) {
@@ -373,7 +374,7 @@ std::vector<Prediction> Predictor::PredictBatch(
       if (stats[i].nearest_distance >= 0.0) {
         metrics_.nearest_distance->Observe(stats[i].nearest_distance);
       }
-      FlushTedTally(stats[i].ted, obs_);
+      FlushTedTally(stats[i].ted, metrics_.ted);
       if (stats[i].used_index) RecordIndexStats(stats[i].index);
     }
   }

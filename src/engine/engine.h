@@ -176,6 +176,8 @@ class Predictor {
     obs::Counter* index_subtree_pruned = nullptr;
     obs::Counter* index_core_teds = nullptr;
     obs::Counter* index_exact_teds = nullptr;
+    /// `ida.distance.*` counters each query's TedTally flushes into.
+    TedCounters ted;
   };
 
   Predictor(ModelConfig config, MeasureSet measures,

@@ -9,10 +9,10 @@
 // position-independent: after the magic "IDAMODEL" and a u32 format
 // version comes a section directory of {tag, offset, length, checksum}
 // entries, and every serving structure (interned display pool, flattened
-// contexts, labels, VP-tree node/entry arrays, perfect-hash display memo)
-// is an 8-byte-aligned section valid in place, so a read-only file mapping
-// serves queries without parsing (Predictor::LoadFromFile). Doubles are
-// stored as raw IEEE-754 bits, so a loaded model reproduces in-memory
+// contexts, labels, sorted display content table, VP-tree node/entry
+// arrays) is an 8-byte-aligned section valid in place, so a read-only file
+// mapping serves queries without parsing (Predictor::LoadFromFile). Doubles
+// are stored as raw IEEE-754 bits, so a loaded model reproduces in-memory
 // predictions bitwise. Corrupt, truncated or version-mismatched inputs are
 // rejected with a descriptive Status; loading never crashes. Files written
 // in an older format version are rejected with a version message — re-save
@@ -37,7 +37,7 @@ inline constexpr char kArtifactMagic[8] = {'I', 'D', 'A', 'M',
                                            'O', 'D', 'E', 'L'};
 /// The artifact format version this build writes and reads. Bump on any
 /// layout change; other versions are rejected with an explicit message.
-inline constexpr uint32_t kArtifactVersion = 6;
+inline constexpr uint32_t kArtifactVersion = 7;
 
 /// An immutable trained model: configuration + labeled samples + optional
 /// serving index.

@@ -170,25 +170,28 @@ FlatTrainingSet BuildFlatTrainingSet(
     }
   }
 
-  // The minimal perfect hash over the pool's content fingerprints
-  // (content-duplicate displays share their first id as representative:
-  // resolving a query onto the representative yields bitwise-identical
-  // distances, since the ground metric reads only content). Build failure
-  // just means queries stay unresolved.
-  if (!out.pool_views.empty()) {
-    std::unordered_map<uint64_t, uint32_t> rep;
-    std::vector<uint64_t> keys;
-    std::vector<uint32_t> values;
-    keys.reserve(out.pool_views.size());
-    values.reserve(out.pool_views.size());
-    for (size_t id = 0; id < out.pool_views.size(); ++id) {
-      const uint64_t fp = ContentFingerprint(out.pool_views[id]);
-      if (rep.try_emplace(fp, static_cast<uint32_t>(id)).second) {
-        keys.push_back(fp);
-        values.push_back(static_cast<uint32_t>(id));
-      }
-    }
-    out.phf = PerfectHash::Build(keys, values);
+  // The sorted content table over the pool's fingerprints. Content-
+  // duplicate displays share their first id as representative: resolving
+  // a query onto the representative yields bitwise-identical distances,
+  // since the ground metric reads only content. Sorting (fingerprint, id)
+  // pairs puts each fingerprint's first id first, and unique keeps it.
+  std::vector<std::pair<uint64_t, uint32_t>> table;
+  table.reserve(out.pool_views.size());
+  for (size_t id = 0; id < out.pool_views.size(); ++id) {
+    table.emplace_back(ContentFingerprint(out.pool_views[id]),
+                       static_cast<uint32_t>(id));
+  }
+  std::sort(table.begin(), table.end());
+  table.erase(std::unique(table.begin(), table.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.first == b.first;
+                          }),
+              table.end());
+  out.display_keys.reserve(table.size());
+  out.display_ids.reserve(table.size());
+  for (const auto& [key, id] : table) {
+    out.display_keys.push_back(key);
+    out.display_ids.push_back(id);
   }
   return out;
 }
@@ -206,7 +209,8 @@ IKnnClassifier::IKnnClassifier(FlatTrainingSet flat, SessionDistance metric,
           std::move(flat.meta))),
       prepared_(std::move(flat.contexts)),
       pool_views_(std::move(flat.pool_views)),
-      display_phf_(std::move(flat.phf)),
+      display_keys_(std::move(flat.display_keys)),
+      display_ids_(std::move(flat.display_ids)),
       metric_(std::move(metric)),
       options_(options),
       flat_actions_(std::move(flat.actions)),
@@ -229,13 +233,13 @@ IKnnClassifier::IKnnClassifier(FlatTrainingSet flat, SessionDistance metric,
 void IKnnClassifier::ResolveQueryDisplayIds(FlatContext* query) const {
   for (FlatContext::Node& node : query->post) {
     node.display_id = -1;
-    if (display_phf_.has_value()) {
-      const std::optional<uint32_t> id =
-          display_phf_->view().Lookup(ContentFingerprint(node.display));
-      if (id.has_value() &&
-          ContentEquals(node.display, pool_views_[*id])) {
-        node.display_id = static_cast<int32_t>(*id);
-      }
+    const uint64_t key = ContentFingerprint(node.display);
+    const auto it =
+        std::lower_bound(display_keys_.begin(), display_keys_.end(), key);
+    if (it == display_keys_.end() || *it != key) continue;
+    const uint32_t id = display_ids_[it - display_keys_.begin()];
+    if (ContentEquals(node.display, pool_views_[id])) {
+      node.display_id = static_cast<int32_t>(id);
     }
   }
   query->pool = pool_token_;

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/mapped_file.h"
-#include "common/phf.h"
 #include "distance/ted.h"
 #include "index/vptree.h"
 #include "offline/training.h"
@@ -157,9 +156,12 @@ struct FlatTrainingSet {
   /// Interned display pool (first-seen identity order over the contexts'
   /// postorder nodes); nodes' display_id values index it.
   std::vector<DisplayView> pool_views;
-  /// Content-fingerprint -> representative pool id perfect hash (nullopt:
-  /// queries resolve by identity only).
-  std::optional<PerfectHash> phf;
+  /// The content -> pool id table queries resolve through: one entry per
+  /// distinct ContentFingerprint of the pool, keys strictly ascending, and
+  /// `display_ids[i]` the first pool id whose fingerprint is
+  /// `display_keys[i]` (its representative).
+  std::vector<uint64_t> display_keys;
+  std::vector<uint32_t> display_ids;
   /// Serving index (nullptr = brute-force scan).
   std::shared_ptr<const index::VpTree> index;
   /// Keep-alive of the mapping the mapped views borrow (null in memory).
@@ -168,9 +170,9 @@ struct FlatTrainingSet {
 
 /// Builds the flat set from in-memory samples: prepares every context,
 /// interns its displays (by identity) and incoming actions (by syntax)
-/// into the pools, stamps the display ids, and builds the display perfect
-/// hash over the pool's content fingerprints (first id per distinct
-/// fingerprint is the representative). Deterministic in the samples.
+/// into the pools, stamps the display ids, and builds the sorted content
+/// table over the pool's fingerprints (first id per distinct fingerprint
+/// is the representative). Deterministic in the samples.
 /// `index`, when non-null, must be built over exactly these samples.
 FlatTrainingSet BuildFlatTrainingSet(
     std::vector<TrainingSample> train,
@@ -220,10 +222,10 @@ class IKnnClassifier {
                          PredictStats* stats = nullptr) const;
 
   /// Resolves each query node's display to this model's interned display
-  /// pool and stamps the context with the pool's id-space token: content
-  /// matches via a single-probe minimal-perfect-hash lookup on the
-  /// display's content fingerprint (verified with a full content compare,
-  /// so a fingerprint collision degrades to "unresolved", never to a wrong
+  /// pool and stamps the context with the pool's id-space token: the
+  /// display's content fingerprint is binary-searched in the sorted
+  /// content table and a hit is verified with a full content compare (so
+  /// a fingerprint collision degrades to "unresolved", never to a wrong
   /// id); everything else stays -1 and is served under
   /// workspace-ephemeral ids.
   /// Resolution only affects memo keying — predictions are bitwise
@@ -265,13 +267,12 @@ class IKnnClassifier {
   /// Process-unique token of this classifier's display-id space (stamped
   /// on prepared_ and on resolved queries; see FlatContext::pool).
   uint64_t pool_token_ = 0;
-  /// Pool id -> display view (for content verification of PHF hits).
+  /// Pool id -> display view (for content verification of table hits).
   std::vector<DisplayView> pool_views_;
-  /// Minimal perfect hash: content fingerprint -> representative pool id
-  /// (first id per distinct fingerprint). nullopt when construction
-  /// failed; queries then stay unresolved (slower, identical
-  /// predictions).
-  std::optional<PerfectHash> display_phf_;
+  /// The sorted content table (FlatTrainingSet::display_keys/display_ids):
+  /// ascending fingerprints and their representative pool ids.
+  std::vector<uint64_t> display_keys_;
+  std::vector<uint32_t> display_ids_;
   SessionDistance metric_;
   KnnOptions options_;
   std::shared_ptr<const index::VpTree> index_;

@@ -2,16 +2,19 @@
 // (engine/artifact_v4.h, DESIGN.md §16), all through the one loader
 // (Predictor::LoadFromFile): section-directory validation (truncation,
 // overlap, misalignment, trailing bytes), per-section checksum behavior
-// under the eager/lazy policies, and bitwise prediction equivalence
-// between the mapped artifact and the in-memory (heap) model it was
-// written from, in brute-force and indexed modes.
+// under the eager/lazy policies, the sorted display content table's load
+// checks and query resolution through it, and bitwise prediction
+// equivalence between the mapped artifact and the in-memory (heap) model
+// it was written from, in brute-force and indexed modes.
 #include "engine/artifact_v4.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "artifact_test_util.h"
@@ -114,6 +117,39 @@ class ArtifactV4Test : public ::testing::Test {
     }
   }
 
+  /// Applies `edit` to the DKEY section's keys and re-seals the
+  /// checksums, so the loader's structural checks are what must react.
+  template <typename Edit>
+  static void EditDisplayKeys(std::string* bytes, Edit edit) {
+    const size_t idx = FindEntryIndex(*bytes, v4::kTagDisplayKeys);
+    const v4::SectionEntry e = ReadEntry(*bytes, idx);
+    ASSERT_GE(e.length, 2 * sizeof(uint64_t));
+    std::vector<uint64_t> keys(e.length / sizeof(uint64_t));
+    std::memcpy(keys.data(), bytes->data() + e.offset, e.length);
+    edit(keys.data());
+    std::memcpy(bytes->data() + e.offset, keys.data(), e.length);
+    FixSectionChecksum(bytes, idx);
+  }
+
+  /// Flips the low bit of a middle DKEY key, checking that the keys stay
+  /// strictly ascending, and leaves the checksums stale.
+  static void FlipDisplayKeyInOrder(std::string* bytes) {
+    const v4::SectionEntry e =
+        ReadEntry(*bytes, FindEntryIndex(*bytes, v4::kTagDisplayKeys));
+    const size_t n = e.length / sizeof(uint64_t);
+    ASSERT_GE(n, 3u);
+    const size_t i = n / 2;
+    uint64_t prev = 0, key = 0, next = 0;
+    char* at = bytes->data() + e.offset + i * sizeof(uint64_t);
+    std::memcpy(&prev, at - sizeof(uint64_t), sizeof(prev));
+    std::memcpy(&key, at, sizeof(key));
+    std::memcpy(&next, at + sizeof(uint64_t), sizeof(next));
+    key ^= 1;
+    ASSERT_LT(prev, key);
+    ASSERT_LT(key, next);
+    std::memcpy(at, &key, sizeof(key));
+  }
+
   static SynthBenchmark* bench_;
   static engine::TrainedModel* model_;
   static std::vector<NContext>* queries_;
@@ -130,7 +166,7 @@ TEST_F(ArtifactV4Test, SectionsTileTheFileInOrder) {
   std::memcpy(&version, bytes.data() + 8, sizeof(version));
   EXPECT_EQ(version, engine::kArtifactVersion);
   const uint32_t count = SectionCount(bytes);
-  ASSERT_GE(count, 11u);  // CFG..LBLH always present
+  ASSERT_GE(count, 13u);  // CFG..DIDS always present
   size_t cursor = kArtifactHeaderSize + count * sizeof(v4::SectionEntry) + 8;
   for (uint32_t i = 0; i < count; ++i) {
     const v4::SectionEntry e = ReadEntry(bytes, i);
@@ -240,16 +276,13 @@ TEST_F(ArtifactV4Test, EagerLoadVerifiesEverySectionChecksum) {
 
 TEST_F(ArtifactV4Test, LazyMappedLoadServesDespiteBulkSectionCorruption) {
   // Under the default lazy checksum policy a corrupt bulk byte goes
-  // unnoticed at load. A flipped perfect-hash key is the benign case:
-  // lookups verify the stored key, so the flip only demotes one display
-  // to identity resolution, and predictions stay bitwise those of the
-  // in-memory model. This is the documented lazy trade: deferred
-  // integrity, same safety.
+  // unnoticed at load. A display-table key flipped without breaking the
+  // key order is the benign case: the lookup for that display misses, so
+  // the flip only demotes it to identity resolution, and predictions stay
+  // bitwise those of the in-memory model. This is the documented lazy
+  // trade: deferred integrity, same safety.
   std::string bytes = model_->Serialize();
-  const v4::SectionEntry keys =
-      ReadEntry(bytes, FindEntryIndex(bytes, v4::kTagPhfKeys));
-  ASSERT_GT(keys.length, 0u);
-  bytes[keys.offset + keys.length / 2] ^= 0x5A;
+  FlipDisplayKeyInOrder(&bytes);
 
   engine::Predictor mapped = MustLoad(bytes);
   ExpectBitwiseEqual(PredictAll(mapped), PredictAll(InMemory(*model_)));
@@ -261,9 +294,7 @@ TEST_F(ArtifactV4Test, EagerChecksumPolicyCatchesCorruptionAtLoad) {
   std::string bytes =
       Variant([](ModelConfig& c) { c.load.eager_checksums = true; })
           .Serialize();
-  const v4::SectionEntry keys =
-      ReadEntry(bytes, FindEntryIndex(bytes, v4::kTagPhfKeys));
-  bytes[keys.offset + keys.length / 2] ^= 0x5A;
+  FlipDisplayKeyInOrder(&bytes);
 
   auto r = LoadBytes(bytes);
   ASSERT_FALSE(r.ok());
@@ -272,12 +303,13 @@ TEST_F(ArtifactV4Test, EagerChecksumPolicyCatchesCorruptionAtLoad) {
       << r.status().ToString();
 }
 
-TEST_F(ArtifactV4Test, PerfectHashValueOutOfRangeRejected) {
+TEST_F(ArtifactV4Test, DisplayTableIdOutOfRangeRejected) {
   std::string bytes = model_->Serialize();
-  // A hostile stored value: PHF values index the display pool unchecked
-  // on the serving hot path, so the loader must bound them. The section
-  // and directory checksums are recomputed — structure is what rejects.
-  const size_t idx = FindEntryIndex(bytes, v4::kTagPhfValues);
+  // A hostile stored id: display-table ids index the display pool
+  // unchecked on the serving hot path, so the loader must bound them. The
+  // section and directory checksums are recomputed — structure is what
+  // rejects.
+  const size_t idx = FindEntryIndex(bytes, v4::kTagDisplayIds);
   const v4::SectionEntry e = ReadEntry(bytes, idx);
   ASSERT_GE(e.length, sizeof(uint32_t));
   const uint32_t huge = 0xFFFFFFFFu;
@@ -286,9 +318,93 @@ TEST_F(ArtifactV4Test, PerfectHashValueOutOfRangeRejected) {
 
   auto r = LoadBytes(bytes);
   ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("perfect-hash value"),
+  EXPECT_NE(r.status().message().find("display-table id"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST_F(ArtifactV4Test, DisplayTableDuplicateKeyRejected) {
+  // The resolver binary-searches the keys, so they must be strictly
+  // ascending: a repeated key is rejected whatever the checksum policy.
+  std::string bytes = model_->Serialize();
+  EditDisplayKeys(&bytes, [](uint64_t* keys) { keys[1] = keys[0]; });
+  auto r = LoadBytes(bytes);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("not strictly ascending"),
             std::string::npos)
       << r.status().ToString();
+}
+
+TEST_F(ArtifactV4Test, DisplayTableDescendingKeysRejected) {
+  std::string bytes = model_->Serialize();
+  EditDisplayKeys(&bytes,
+                  [](uint64_t* keys) { std::swap(keys[0], keys[1]); });
+  auto r = LoadBytes(bytes);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("not strictly ascending"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
+TEST_F(ArtifactV4Test, ResolverMapsDisplaysByContent) {
+  FlatTrainingSet flat =
+      BuildFlatTrainingSet(model_->samples(), model_->index());
+  // The views borrow the samples' displays, which the classifier keeps.
+  const std::vector<DisplayView> views = flat.pool_views;
+  const IKnnClassifier knn(std::move(flat),
+                           SessionDistance(model_->config().distance),
+                           model_->config().knn);
+  // Every pool display, then one display with content no pool display
+  // has, carrying a stale id that resolution must overwrite.
+  FlatContext q;
+  q.post.resize(views.size() + 1);
+  for (size_t i = 0; i < views.size(); ++i) q.post[i].display = views[i];
+  q.post.back().display = views.front();
+  q.post.back().display.num_rows += 987654321;
+  q.post.back().display_id = 7;
+  knn.ResolveQueryDisplayIds(&q);
+
+  size_t duplicates = 0;
+  for (size_t i = 0; i < views.size(); ++i) {
+    size_t first = 0;
+    while (!ContentEquals(views[first], views[i])) ++first;
+    if (first != i) ++duplicates;
+    EXPECT_EQ(q.post[i].display_id, static_cast<int32_t>(first))
+        << "pool display " << i;
+  }
+  EXPECT_EQ(q.post.back().display_id, -1);
+  // The fixture pool holds content-equal displays, so the representative
+  // choice is exercised.
+  EXPECT_GT(duplicates, 0u);
+}
+
+TEST_F(ArtifactV4Test, MappedAndHeapClassifiersResolveIdenticalIds) {
+  const IKnnClassifier heap(
+      BuildFlatTrainingSet(model_->samples(), model_->index()),
+      SessionDistance(model_->config().distance), model_->config().knn);
+  TempArtifact file(model_->Serialize());
+  auto opened = MappedArtifact::Open(file.path());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto loaded = v4::LoadServing(
+      std::make_shared<const MappedArtifact>(std::move(*opened)),
+      model_->config());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const IKnnClassifier mapped(std::move(*loaded),
+                              SessionDistance(model_->config().distance),
+                              model_->config().knn);
+
+  size_t resolved = 0;
+  for (const NContext& query : *queries_) {
+    FlatContext a = SessionDistance::Prepare(query);
+    FlatContext b = SessionDistance::Prepare(query);
+    heap.ResolveQueryDisplayIds(&a);
+    mapped.ResolveQueryDisplayIds(&b);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t j = 0; j < a.size(); ++j) {
+      EXPECT_EQ(a.post[j].display_id, b.post[j].display_id);
+      if (a.post[j].display_id >= 0) ++resolved;
+    }
+  }
+  EXPECT_GT(resolved, 0u);
 }
 
 // "Heap" below is the in-memory model (Predictor::Load), whose classifier

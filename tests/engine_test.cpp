@@ -314,9 +314,11 @@ TEST_F(EngineTest, BadMagicRejected) {
 
 TEST_F(EngineTest, FormatVersionMismatchRejected) {
   // The version u32 sits right after the 8 magic bytes and is checked
-  // before anything else is interpreted: a future version, and a file in
-  // the previous (version-5) format, are both rejected by name.
-  for (uint32_t version : {engine::kArtifactVersion + 1, uint32_t{5}}) {
+  // before anything else is interpreted: a future version, and files in
+  // the previous (version-5 and version-6) formats, are all rejected by
+  // name.
+  for (uint32_t version :
+       {engine::kArtifactVersion + 1, uint32_t{5}, uint32_t{6}}) {
     std::string bytes = model_->Serialize();
     std::memcpy(&bytes[8], &version, sizeof(version));
     auto mismatched = LoadBytes(bytes);

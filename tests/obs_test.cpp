@@ -212,13 +212,35 @@ class ObsEngineTest : public ::testing::Test {
 SynthBenchmark* ObsEngineTest::bench_ = nullptr;
 engine::TrainedModel* ObsEngineTest::model_ = nullptr;
 
+#if IDA_OBS_ENABLED
+/// Expects the registry's `ida.distance.*` totals to equal `tally`.
+void ExpectDistanceCountersEqual(MetricsRegistry& registry,
+                                 const TedTally& tally) {
+  const auto value = [&registry](const char* name) {
+    return registry.GetCounter(std::string("ida.distance.") + name)->value();
+  };
+  EXPECT_EQ(value("ted.calls"), tally.ted_calls);
+  EXPECT_EQ(value("display_cache.l1_hits"), tally.display_l1_hits);
+  EXPECT_EQ(value("display_cache.shared_hits"), tally.display_shared_hits);
+  EXPECT_EQ(value("display_cache.computes"), tally.display_computes);
+  EXPECT_EQ(value("display_memo.lookups"), tally.display_memo_lookups);
+  EXPECT_EQ(value("display_memo.probes"), tally.display_memo_probes);
+  EXPECT_EQ(value("workspace.grows"), tally.workspace_grows);
+  EXPECT_EQ(value("workspace.reuses"), tally.workspace_reuses);
+}
+#endif
+
 TEST_F(ObsEngineTest, OnePredictIncrementsTheServingMetrics) {
   MetricsRegistry registry;
   obs::ObsConfig obs;
   obs.registry = &registry;
   auto served = engine::Predictor::Load(*model_, obs);
   ASSERT_TRUE(served.ok());
-  Prediction p = served->Predict(model_->samples()[0].context);
+  // Served through caller-owned scratch, whose workspace tally is exactly
+  // the query's PredictStats::ted (the scratch starts at zero).
+  FlatContext query = SessionDistance::Prepare(model_->samples()[0].context);
+  PredictScratch scratch;
+  Prediction p = served->PredictPrepared(query, scratch);
 #if IDA_OBS_ENABLED
   EXPECT_EQ(registry.GetCounter("ida.engine.predict.count")->value(), 1u);
   // The serving index prunes most exact TED evaluations, so the eval count
@@ -235,8 +257,10 @@ TEST_F(ObsEngineTest, OnePredictIncrementsTheServingMetrics) {
                 registry.GetCounter("ida.index.subtree_pruned")->value(),
             0u);
   EXPECT_EQ(registry.GetHistogram("ida.engine.predict.seconds")->count(), 1u);
-  // Every exact evaluation the index admitted went through the TED tally.
+  // Every exact evaluation the index admitted went through the TED tally,
+  // and the query's tally reached the registry unchanged.
   EXPECT_GE(registry.GetCounter("ida.distance.ted.calls")->value(), evals);
+  ExpectDistanceCountersEqual(registry, scratch.workspace().tally);
   const uint64_t abstained =
       registry.GetCounter("ida.engine.predict.abstentions")->value();
   EXPECT_EQ(abstained, p.HasPrediction() ? 0u : 1u);
@@ -244,6 +268,27 @@ TEST_F(ObsEngineTest, OnePredictIncrementsTheServingMetrics) {
   (void)p;
   EXPECT_TRUE(registry.Snapshot().ToJson().find("predict") ==
               std::string::npos);
+#endif
+}
+
+TEST_F(ObsEngineTest, DistanceCountersSumTheQueryTallies) {
+  // Several queries on one scratch: the registry's `ida.distance.*`
+  // totals are the sum of the queries' PredictStats::ted deltas, which is
+  // the scratch workspace's whole tally.
+  MetricsRegistry registry;
+  obs::ObsConfig obs;
+  obs.registry = &registry;
+  auto served = engine::Predictor::Load(*model_, obs);
+  ASSERT_TRUE(served.ok());
+  PredictScratch scratch;
+  for (size_t i = 0; i < model_->size() && i < 12; ++i) {
+    FlatContext query =
+        SessionDistance::Prepare(model_->samples()[i].context);
+    served->PredictPrepared(query, scratch);
+  }
+#if IDA_OBS_ENABLED
+  EXPECT_GT(scratch.workspace().tally.ted_calls, 0u);
+  ExpectDistanceCountersEqual(registry, scratch.workspace().tally);
 #endif
 }
 
