@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -47,6 +48,8 @@ GeneratorOptions PaperScaleOptions() {
 
 std::string SerializeLabels(const std::vector<LabeledStep>& labels) {
   std::ostringstream os;
+  // Scores round-trip exactly, so a cached run labels like the first one.
+  os.precision(std::numeric_limits<double>::max_digits10);
   for (const LabeledStep& s : labels) {
     os << s.tree_index << " " << s.step << " "
        << s.result.effective_reference_size << " |";
@@ -147,6 +150,15 @@ World& GetWorld() {
         std::fprintf(stderr, "warning: cannot cache log: %s\n",
                      st.ToString().c_str());
       }
+      // Build the world from the log's text, as every later run loads it:
+      // the text rounds double operands (Action::Serialize), so the
+      // generated log would otherwise serve slightly different sessions.
+      auto parsed = SessionLog::Parse(w->bench.log.Serialize());
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "FATAL: %s\n", parsed.status().ToString().c_str());
+        std::exit(1);
+      }
+      w->bench.log = std::move(*parsed);
     }
     ActionExecutor exec;
     auto repo = ReplayedRepository::Build(w->bench.log, w->bench.registry, exec);

@@ -31,7 +31,7 @@ using replay::Summarize;
 
 /// Bump when a change invalidates cached labelings (measure semantics,
 /// generator behavior, serialization format).
-inline constexpr const char* kCacheVersion = "v5";
+inline constexpr const char* kCacheVersion = "v6";
 inline constexpr uint64_t kWorldSeed = 20190326;  // EDBT'19 dates
 
 /// effective_reference_size sentinel marking a Normalized labeling (so the

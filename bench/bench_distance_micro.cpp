@@ -148,14 +148,8 @@ void PrintKernelThroughput() {
       "{\"bench\":\"distance_micro\",\"config\":\"ted_kernel\","
       "\"chain_len\":%zu,\"cells_per_call\":%zu,"
       "\"cells_per_us\":%.1f,\"compiler\":\"%s\","
-      "\"vector_width_bits\":%d,\"simd_pragmas\":%s,\"checksum\":%.3f}\n",
-      kLen, kLen * kLen, cells_per_us, __VERSION__, VectorWidthBits(),
-#if defined(IDA_SIMD)
-      "true",
-#else
-      "false",
-#endif
-      sink);
+      "\"vector_width_bits\":%d,\"checksum\":%.3f}\n",
+      kLen, kLen * kLen, cells_per_us, __VERSION__, VectorWidthBits(), sink);
 }
 
 }  // namespace

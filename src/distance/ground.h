@@ -59,8 +59,9 @@ DisplayProfile MakeDisplayProfile(const DisplayView& v);
 /// difference (0.2). The profile form is the one implementation: one
 /// merge-join over the sorted labels builds the mixture, whose entropy is
 /// the only one computed per pair. It is bitwise symmetric. The view forms
-/// build both profiles and merge them; callers that meet a display more
-/// than once keep its profile instead (SessionDistance, BuildDistanceMatrix).
+/// build both profiles and merge them; a caller that meets a display more
+/// than once keeps its profile instead, as SessionDistance does per
+/// resolved display id.
 double DisplayContentDistance(const DisplayProfile& a, const DisplayProfile& b);
 double DisplayContentDistance(const DisplayView& a, const DisplayView& b);
 double DisplayContentDistance(const Display& a, const Display& b);

@@ -7,7 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <new>
-#include <string>
+#include <unordered_map>
 
 #include "common/parallel.h"
 #include "distance/ground.h"
@@ -46,137 +46,6 @@ int FlattenVisit(const NContext& ctx, int node, FlatContext* out) {
   flat.leftmost = leftmost_pos;
   out->post.push_back(flat);
   return leftmost_pos;
-}
-
-// ------------------------------------------------------------------------
-// Population-level ground tables for BuildDistanceMatrix: unique displays
-// (by pointer) and action syntaxes (by serialized form) are interned into
-// dense ids (each display's profile built once, as it is interned), and
-// their pairwise display distances are precomputed row by row on the
-// build's thread pool. The DP phase then reads the immutable tables — no
-// hashing, no locking, no allocation on the hot path.
-
-constexpr size_t kMaxInternedNodes = 8192;
-
-struct GroundTables {
-  size_t num_nodes = 0;                   ///< unique (display, action) pairs
-  std::vector<double> alter;              ///< row-major num_nodes^2
-  std::vector<std::vector<int>> node_id;  ///< per context, postorder
-  /// False when the population exceeds the interning bounds; callers fall
-  /// back to the memoized per-pair path.
-  bool valid = false;
-};
-
-GroundTables BuildGroundTables(const std::vector<FlatContext>& flat,
-                               const SessionDistance& metric,
-                               ThreadPool* pool) {
-  GroundTables g;
-  // Intern displays by pointer, action syntaxes by serialized form, and
-  // nodes by (display id, action id) combination.
-  std::unordered_map<const Display*, int> display_ids;
-  std::unordered_map<std::string, int> action_ids;
-  std::unordered_map<int64_t, int> node_ids;
-  std::vector<DisplayProfile> profiles;  // display id -> its profile
-  std::vector<const Action*> actions;
-  std::vector<std::pair<int, int>> nodes;  // node id -> (display, action)
-  g.node_id.resize(flat.size());
-  for (size_t c = 0; c < flat.size(); ++c) {
-    g.node_id[c].reserve(flat[c].size());
-    for (const FlatContext::Node& node : flat[c].post) {
-      auto [dit, dnew] =
-          display_ids.try_emplace(node.display.identity,
-                                  static_cast<int>(profiles.size()));
-      if (dnew) profiles.push_back(MakeDisplayProfile(node.display));
-      int aid = -1;  // -1 = no incoming action (context root)
-      if (node.incoming->has_value()) {
-        const Action& act = **node.incoming;
-        auto [ait, anew] = action_ids.try_emplace(
-            act.Serialize(), static_cast<int>(actions.size()));
-        if (anew) actions.push_back(&act);
-        aid = ait->second;
-      }
-      const int64_t combo =
-          (static_cast<int64_t>(dit->second) << 32) |
-          static_cast<int64_t>(static_cast<uint32_t>(aid + 1));
-      auto [nit, nnew] =
-          node_ids.try_emplace(combo, static_cast<int>(nodes.size()));
-      if (nnew) nodes.emplace_back(dit->second, aid);
-      g.node_id[c].push_back(nit->second);
-    }
-    if (nodes.size() > kMaxInternedNodes) {
-      return g;  // population too diverse for dense tables
-    }
-  }
-
-  // Pairwise ground tables over the interned uniques: each display pair is
-  // one merge of the two displays' profiles, computed once (the display
-  // metric is symmetric bitwise) by whichever worker owns row i, while the
-  // action table keeps (row, column) orientation because the action syntax
-  // metric's greedy predicate matching is not guaranteed symmetric.
-  const size_t u = profiles.size();
-  std::vector<double> display_table(u * u, 0.0);
-  pool->ParallelFor(u, /*chunk=*/4, [&](size_t begin, size_t end, int) {
-    for (size_t i = begin; i < end; ++i) {
-      for (size_t j = i + 1; j < u; ++j) {
-        const double d = DisplayContentDistance(profiles[i], profiles[j]);
-        display_table[i * u + j] = d;
-        display_table[j * u + i] = d;
-      }
-    }
-  });
-  const size_t v = actions.size();
-  std::vector<double> action_table(v * v);
-  for (size_t i = 0; i < v; ++i) {
-    for (size_t j = 0; j < v; ++j) {
-      action_table[i * v + j] = ActionSyntaxDistance(*actions[i], *actions[j]);
-    }
-  }
-
-  // Fuse into one alter-cost table over node ids, evaluating exactly the
-  // per-pair path's expression on exactly the same operands (so the DP
-  // stays bitwise identical to the memoized path): one load per alter.
-  const double dw = metric.options().display_weight;
-  g.num_nodes = nodes.size();
-  g.alter.resize(g.num_nodes * g.num_nodes);
-  for (size_t i = 0; i < g.num_nodes; ++i) {
-    const auto [di, ai] = nodes[i];
-    for (size_t j = 0; j < g.num_nodes; ++j) {
-      const auto [dj, aj] = nodes[j];
-      const double dd = display_table[static_cast<size_t>(di) * u +
-                                      static_cast<size_t>(dj)];
-      const double da =
-          ai < 0 ? (aj < 0 ? 0.0 : 1.0)
-                 : (aj < 0 ? 1.0
-                           : action_table[static_cast<size_t>(ai) * v +
-                                          static_cast<size_t>(aj)]);
-      g.alter[i * g.num_nodes + j] = dw * dd + (1.0 - dw) * da;
-    }
-  }
-  g.valid = true;
-  return g;
-}
-
-// Normalized distance between prepared contexts served entirely from the
-// precomputed alter table. Mirrors SessionDistance::Distance.
-double TableDistance(const FlatContext& a, const FlatContext& b,
-                     const int* a_node, const int* b_node,
-                     const GroundTables& g, TedWorkspace* ws) {
-  const size_t total = a.size() + b.size();
-  if (total == 0) return 0.0;
-  double ted;
-  if (a.empty() || b.empty()) {
-    ted = kIndelCost * static_cast<double>(a.size() + b.size());
-  } else {
-    IDA_OBS_TALLY(++ws->tally.ted_calls);
-    const double* alter = g.alter.data();
-    const size_t w = g.num_nodes;
-    ted = ZhangShashaCompute(
-        a, b, kIndelCost, ws, [&](int pi, int pj) {
-          return alter[static_cast<size_t>(a_node[pi]) * w +
-                       static_cast<size_t>(b_node[pj])];
-        });
-  }
-  return ted / (kIndelCost * static_cast<double>(total));
 }
 
 }  // namespace
@@ -417,79 +286,60 @@ void FlushTedTally(const TedTally& tally, const TedCounters& counters) {
 }
 
 std::vector<std::vector<double>> BuildDistanceMatrix(
-    const std::vector<NContext>& contexts, const SessionDistance& metric,
-    ThreadPool* pool, const obs::ObsConfig& obs) {
+    const std::vector<NContext>& contexts, const SessionDistance& metric) {
   const size_t n = contexts.size();
   std::vector<std::vector<double>> d(n, std::vector<double>(n, 0.0));
   if (n < 2) return d;
 
-  std::unique_ptr<ThreadPool> owned;
-  if (pool == nullptr) {
-    owned = std::make_unique<ThreadPool>(metric.options().num_threads);
-    pool = owned.get();
-  }
-  // Prepare phase: one flattening per context instead of one per pair,
-  // then the ground-table precompute (the DP phase below reads the tables
-  // immutably).
+  // Prepare phase: one flattening per context instead of one per pair.
   std::vector<FlatContext> flat;
   flat.reserve(n);
   for (const NContext& c : contexts) {
     flat.push_back(SessionDistance::Prepare(c));
   }
-  const GroundTables tables = BuildGroundTables(flat, metric, pool);
+  // Intern the displays by content into one pool id space, as the kNN
+  // classifier resolves its queries: a fingerprint match confirmed with
+  // ContentEquals, so content-equal displays share an id and every pair of
+  // distinct contents is computed once, into the pool's shared table.
+  std::unordered_map<uint64_t, std::vector<int32_t>> ids_by_key;
+  std::vector<DisplayView> pool_views;
+  for (FlatContext& ctx : flat) {
+    for (FlatContext::Node& node : ctx.post) {
+      std::vector<int32_t>& same = ids_by_key[ContentFingerprint(node.display)];
+      for (int32_t id : same) {
+        if (ContentEquals(node.display, pool_views[static_cast<size_t>(id)])) {
+          node.display_id = id;
+          break;
+        }
+      }
+      if (node.display_id < 0) {
+        node.display_id = static_cast<int32_t>(pool_views.size());
+        same.push_back(node.display_id);
+        pool_views.push_back(node.display);
+      }
+    }
+  }
+  SessionDistance bound = metric;
+  const uint64_t token = bound.BindPool(pool_views.size());
+  for (FlatContext& ctx : flat) ctx.pool = token;
 
-  std::vector<TedWorkspace> scratch(static_cast<size_t>(pool->num_threads()));
-  // Per-worker wall time for the `ida.distance.matrix.worker_seconds`
-  // histogram: each slot is written only by its worker (the clock reads
-  // are skipped entirely when metrics are off).
-  const bool timed = obs.metrics_on();
-  std::vector<double> worker_seconds(scratch.size(), 0.0);
+  ThreadPool pool(metric.options().num_threads);
+  std::vector<TedWorkspace> scratch(static_cast<size_t>(pool.num_threads()));
   // Upper-triangle rows, dynamically chunked: early rows carry more
   // pairs, so late chunks rebalance onto whichever worker frees up first.
   // Each (i, j) cell is written by exactly one worker.
-  pool->ParallelFor(
+  pool.ParallelFor(
       n - 1, /*chunk=*/2, [&](size_t begin, size_t end, int worker) {
         TedWorkspace& ws = scratch[static_cast<size_t>(worker)];
-        const obs::TracePoint chunk_start =
-            timed ? obs::TraceNow() : obs::TracePoint();
         for (size_t i = begin; i < end; ++i) {
           double* row = d[i].data();
-          if (tables.valid) {
-            const int* a_node = tables.node_id[i].data();
-            for (size_t j = i + 1; j < n; ++j) {
-              row[j] = TableDistance(flat[i], flat[j], a_node,
-                                     tables.node_id[j].data(), tables, &ws);
-            }
-          } else {
-            for (size_t j = i + 1; j < n; ++j) {
-              row[j] = metric.Distance(flat[i], flat[j], &ws);
-            }
+          for (size_t j = i + 1; j < n; ++j) {
+            row[j] = bound.Distance(flat[i], flat[j], &ws);
           }
-        }
-        if (timed) {
-          worker_seconds[static_cast<size_t>(worker)] +=
-              obs::SecondsSince(chunk_start);
         }
       });
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) d[j][i] = d[i][j];
-  }
-
-  if (timed) {
-    obs::MetricsRegistry& reg = obs.reg();
-    reg.GetCounter("ida.distance.matrix.builds")->Increment();
-    reg.GetCounter("ida.distance.matrix.contexts")->Add(n);
-    reg.GetCounter("ida.distance.matrix.pairs")->Add(n * (n - 1) / 2);
-    reg.GetCounter(tables.valid ? "ida.distance.matrix.dense_builds"
-                                : "ida.distance.matrix.fallback_builds")
-        ->Increment();
-    obs::Histogram* shard_hist =
-        reg.GetHistogram("ida.distance.matrix.worker_seconds");
-    for (size_t w = 0; w < worker_seconds.size(); ++w) {
-      if (worker_seconds[w] > 0.0) shard_hist->Observe(worker_seconds[w]);
-    }
-    const TedCounters counters(obs);
-    for (const TedWorkspace& ws : scratch) FlushTedTally(ws.tally, counters);
   }
   return d;
 }

@@ -35,8 +35,6 @@
 
 namespace ida {
 
-class ThreadPool;
-
 namespace internal {
 
 /// Display ids at or above this value are workspace-scoped ephemeral ids
@@ -288,9 +286,9 @@ struct FlatContext {
 
 /// Plain (non-atomic) per-workspace event tallies for the observability
 /// layer (DESIGN.md §10): the distance engine's hot loops bump these
-/// thread-local integers for free, and batch-level callers
-/// (BuildDistanceMatrix, IKnnClassifier via PredictStats) flush the deltas
-/// into atomic `ida.distance.*` counters once per batch. All increments
+/// thread-local integers for free, and the serving layer (IKnnClassifier
+/// via PredictStats) flushes the deltas into atomic `ida.distance.*`
+/// counters once per query. All increments
 /// compile away under IDA_OBS=OFF; the struct itself always exists so the
 /// API is mode-independent.
 struct TedTally {
@@ -491,19 +489,15 @@ class SessionDistance {
 };
 
 /// Pairwise distance matrix over a set of contexts (symmetric, zero
-/// diagonal). Each context is flattened exactly once; the upper triangle
-/// is computed over `metric.options().num_threads` workers (one reusable
-/// workspace per worker) and mirrored. Output is independent of the
-/// thread count. When `pool` is given it is used instead of creating one
-/// (its size then overrides the options knob).
-///
-/// Observability: when `obs` is active, records `ida.distance.matrix.*`
-/// counters (builds, pairs, dense-table vs fallback mode), per-worker wall
-/// times into the `ida.distance.matrix.worker_seconds` histogram, and
-/// flushes the workers' TedTally deltas into `ida.distance.*`.
+/// diagonal), computed as the kNN classifier computes a distance: each
+/// context is flattened exactly once, the contexts' displays are interned
+/// by content into one pool id space (ContentFingerprint confirmed with
+/// ContentEquals) bound to a copy of `metric`, and every upper-triangle
+/// cell is one Distance call, over `metric.options().num_threads` workers
+/// (one reusable workspace per worker); the lower triangle is mirrored.
+/// Output is independent of the thread count.
 std::vector<std::vector<double>> BuildDistanceMatrix(
-    const std::vector<NContext>& contexts, const SessionDistance& metric,
-    ThreadPool* pool = nullptr, const obs::ObsConfig& obs = {});
+    const std::vector<NContext>& contexts, const SessionDistance& metric);
 
 /// The `ida.distance.*` counters a TedTally flushes into (ted.calls,
 /// display_cache.{l1_hits,shared_hits,computes},

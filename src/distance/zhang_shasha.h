@@ -1,10 +1,10 @@
 // The Zhang–Shasha ordered-tree-edit-distance dynamic program, shared by
-// every alter-cost model of the distance layer: the memoized per-pair path
-// and the dense-table path of SessionDistance (distance/ted.cc), and the
-// metric-core lower bound of the kNN index (index/vptree.cc). Callers
-// parameterize the alter cost; the DP structure — and therefore the exact
-// floating-point operation order — is identical across them, which is what
-// makes cross-path bitwise-identity arguments possible (DESIGN.md §8, §11).
+// every alter-cost model of the distance layer: the memoized path of
+// SessionDistance (distance/ted.cc) and the metric-core lower bound of the
+// kNN index (index/vptree.cc). Callers parameterize the alter cost; the DP
+// structure — and therefore the exact floating-point operation order — is
+// identical across them, which is what makes cross-path bitwise-identity
+// arguments possible (DESIGN.md §8, §11).
 //
 // Kernel layout (DESIGN.md §13). The recurrence is evaluated in a
 // restructured, vectorization-friendly form that is bitwise identical to
@@ -30,11 +30,8 @@
 //  * Anchored-block fast path. n-contexts are paths (session/ncontext.h),
 //    so the common block has every column anchored and the recurrence
 //    degenerates to the classic string-edit form with only contiguous
-//    loads — the loop auto-vectorizes. Building with -DIDA_SIMD=ON
-//    additionally asserts the no-loop-carried-dependence pragmas on the
-//    pass-A loops; it never changes arithmetic, only enables wider
-//    codegen, so outputs stay bitwise identical (pinned by the
-//    KernelEquivalence tests).
+//    loads — the loop auto-vectorizes. The KernelEquivalence tests pin
+//    the restructured kernel bitwise to the per-cell formulation.
 #pragma once
 
 #include <algorithm>
@@ -42,22 +39,6 @@
 #include <cstdint>
 
 #include "distance/ted.h"
-
-// Opt-in vectorization hint for the pass-A loops: promises the compiler
-// there is no loop-carried dependence (which the two-pass restructure
-// guarantees — pass A only reads finalized earlier rows). Purely a codegen
-// hint; it introduces no arithmetic change.
-#if defined(IDA_SIMD)
-#if defined(__clang__)
-#define IDA_SIMD_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
-#elif defined(__GNUC__)
-#define IDA_SIMD_LOOP _Pragma("GCC ivdep")
-#else
-#define IDA_SIMD_LOOP
-#endif
-#else
-#define IDA_SIMD_LOOP
-#endif
 
 namespace ida::internal {
 
@@ -134,13 +115,11 @@ double ZhangShashaCompute(const FlatContext& ta, const FlatContext& tb,
         // dependency, every row it reads (fdprev, fdfi with fi < i, and
         // treedist cells finalized by earlier blocks) is already final.
         if (fi == 0 && all_anchored) {
-          IDA_SIMD_LOOP
           for (int j = 1; j < nj; ++j) {
             fdrow[j] =
                 std::min(fdprev[j] + indel, fdprev[j - 1] + arow[j - 1]);
           }
         } else if (fi == 0) {
-          IDA_SIMD_LOOP
           for (int j = 1; j < nj; ++j) {
             const int bl = jl[j - 1];
             const double sub =
@@ -149,7 +128,6 @@ double ZhangShashaCompute(const FlatContext& ta, const FlatContext& tb,
             fdrow[j] = std::min(fdprev[j] + indel, sub);
           }
         } else {
-          IDA_SIMD_LOOP
           for (int j = 1; j < nj; ++j) {
             fdrow[j] = std::min(fdprev[j] + indel,
                                 fdfi[jl[j - 1] - lj] + trow[lj + j - 1]);

@@ -1,9 +1,8 @@
 // Entry point of the observability subsystem (DESIGN.md §10): ObsConfig —
 // the ModelConfig-style bundle of observability knobs threaded through
-// Trainer / Predictor / BuildDistanceMatrix / EvaluateLoocv — plus the
-// RAII ScopedTimer that records a phase into a histogram and/or emits a
-// TraceSpan, and the JSON snapshot writer behind the examples'
-// `--metrics-json` flag.
+// Trainer / Predictor / EvaluateLoocv — plus the RAII ScopedTimer that
+// records a phase into a histogram and/or emits a TraceSpan, and the JSON
+// snapshot writer behind the examples' `--metrics-json` flag.
 //
 // Cost contract (the "zero-overhead when disabled" guarantee):
 //   - IDA_OBS=OFF (compile time): every instrument is an empty inline

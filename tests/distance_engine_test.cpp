@@ -1,8 +1,7 @@
 // Determinism and equivalence tests for the parallel distance engine
 // (DESIGN.md §8): BuildDistanceMatrix must be bit-identical across thread
-// counts, identical to the one-shot per-pair metric (table-driven and
-// memoized paths agree exactly), and downstream LOOCV metrics must not
-// depend on the worker count.
+// counts, identical to the one-shot per-pair metric, and downstream LOOCV
+// metrics must not depend on the worker count.
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +14,7 @@
 #include "session/ncontext.h"
 #include "synth/agent.h"
 #include "synth/dataset.h"
+#include "test_util.h"
 
 namespace ida {
 namespace {
@@ -63,16 +63,32 @@ TEST(DistanceEngineTest, MatrixBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(DistanceEngineTest, MatrixMatchesPerPairMetricExactly) {
-  const std::vector<NContext> contexts = MakeContexts(20);
+  std::vector<NContext> contexts = MakeContexts(20);
+  // Two filters whose operands agree to nine decimals: equal displays,
+  // unequal actions, although Action::Serialize prints both alike. The
+  // pair's cell must read the action difference, not 0.
+  ActionExecutor exec;
+  SessionTree t("near-operands", "u", "packets",
+                Display::MakeRoot(testing::PacketsTable()));
+  for (double operand : {0.1234567891, 0.1234567894}) {
+    ASSERT_TRUE(
+        t.ApplyFrom(0, Action::Filter({{"length", CompareOp::kGe, operand}}),
+                    exec)
+            .ok());
+  }
+  const size_t near_a = contexts.size();
+  contexts.push_back(ExtractNContext(t, 1, 2));
+  contexts.push_back(ExtractNContext(t, 2, 2));
   SessionDistance metric;
   const auto matrix = BuildDistanceMatrix(contexts, metric);
+  EXPECT_GT(matrix[near_a][near_a + 1], 0.0);
   for (size_t i = 0; i < contexts.size(); ++i) {
     EXPECT_EQ(matrix[i][i], 0.0);
     for (size_t j = i + 1; j < contexts.size(); ++j) {
-      // The table-driven matrix path and the memoized one-shot path must
-      // agree bitwise in the computed (upper-triangle) orientation; the
-      // lower triangle is a mirror (the action ground metric itself is
-      // not symmetric, so only one orientation is ever computed).
+      // The matrix and the one-shot path must agree bitwise in the
+      // computed (upper-triangle) orientation; the lower triangle is a
+      // mirror (the action ground metric itself is not symmetric, so only
+      // one orientation is ever computed).
       ASSERT_EQ(matrix[i][j], metric.Distance(contexts[i], contexts[j]))
           << "cell (" << i << "," << j << ")";
       ASSERT_EQ(matrix[i][j], matrix[j][i]);
